@@ -3,7 +3,7 @@
 
 Equivalent to `onsager verify` with any extra arguments forwarded, e.g.
 
-    python scripts/run_verify.py --suite I5,I6,I7 --jobs 4 --format json
+    python scripts/run_verify.py --suite I5,I6,I7 --format json
 """
 
 import sys

@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import loop
 from .lie import Kind
@@ -36,7 +35,6 @@ from .straighten import (
     LFactor,
     NoLambdaExpression,
     OutOfTruncation,
-    XFactor,
     coordinates,
 )
 from .verify import (
@@ -86,8 +84,8 @@ def report_to_json(report: SuiteReport) -> dict:
             "max_index": cfg.max_index,
             "max_order": cfg.max_order,
             "tags": list(cfg.tags),
-            # jobs is an execution detail, not report content: reports must be
-            # byte-identical regardless of parallelism
+            # jobs is accepted but not report content: reports must be
+            # byte-identical whatever --jobs says
             "format": cfg.format,
         },
         "results": results,
@@ -323,7 +321,8 @@ def build_parser(defaults: dict) -> _ArgumentParser:
                    help="comma-separated tags (default: all)")
     p.add_argument("--max-index", type=int, default=defaults.get("max_index", 3))
     p.add_argument("--max-order", type=int, default=defaults.get("max_order", 3))
-    p.add_argument("--jobs", type=int, default=defaults.get("jobs", 1))
+    p.add_argument("--jobs", type=int, default=defaults.get("jobs", 1),
+                   help="accepted for compatibility; the suite runs in one thread")
     fmt(p)
     p.set_defaults(func=cmd_verify)
 

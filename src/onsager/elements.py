@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as iproduct
 
 from . import caches
 from .lie import LIE_ZERO, LieElement, bracket, h, xminus, xplus

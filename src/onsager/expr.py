@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lie import Kind, BasisElement, LieElement, bracket, h, xminus, xplus
+from .lie import Kind, LieElement, bracket, h, xminus, xplus
 from .uea import UEAElement, UEA_ONE, binomial, divided_power, from_lie, multiply
 from .elements import d1_closed, d_triple, duv_rec, lambda_rec, p_def
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -30,12 +30,6 @@ class BasisElement(NamedTuple):
     index: int
 
 
-def is_canonical(b: BasisElement) -> bool:
-    if b.kind == Kind.H:
-        return b.index >= 0
-    return b.index >= 1
-
-
 def compare(a: BasisElement, b: BasisElement) -> int:
     """Total order on canonical basis elements: -1, 0 or 1."""
     if a.kind != b.kind:
@@ -45,13 +39,21 @@ def compare(a: BasisElement, b: BasisElement) -> int:
     return 0
 
 
-class LieElement:
-    """Finite rational combination of canonical basis elements."""
+class LinComb:
+    """Finite combination of keys with nonzero coefficients.
+
+    The one sparse type behind every element of the package: Lie
+    elements, PBW words, ordered monomials and Laurent polynomials all
+    store ``coeffs`` as a plain dict, with zero coefficients dropped at
+    construction so that equal elements have equal dicts.  Arithmetic
+    returns the operand's own subclass, and equality is type-exact, so
+    two kinds of element never compare equal by accident.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[BasisElement, Fraction] | None = None):
-        self.coeffs = {b: c for b, c in (coeffs or {}).items() if c != 0}
+    def __init__(self, coeffs: dict | None = None):
+        self.coeffs = {k: c for k, c in (coeffs or {}).items() if c}
 
     @property
     def is_zero(self) -> bool:
@@ -60,36 +62,58 @@ class LieElement:
     def items(self):
         return self.coeffs.items()
 
-    def support(self) -> list[BasisElement]:
-        return sorted(self.coeffs)
-
-    def __add__(self, other: "LieElement") -> "LieElement":
+    def __add__(self, other):
         out = dict(self.coeffs)
-        for b, c in other.coeffs.items():
-            out[b] = out.get(b, ZERO) + c
-        return LieElement(out)
+        for k, c in other.coeffs.items():
+            old = out.get(k)
+            out[k] = c if old is None else old + c
+        return type(self)(out)
 
-    def __sub__(self, other: "LieElement") -> "LieElement":
+    def __sub__(self, other):
         out = dict(self.coeffs)
-        for b, c in other.coeffs.items():
-            out[b] = out.get(b, ZERO) - c
-        return LieElement(out)
+        for k, c in other.coeffs.items():
+            old = out.get(k)
+            out[k] = -c if old is None else old - c
+        return type(self)(out)
 
-    def __neg__(self) -> "LieElement":
-        return LieElement({b: -c for b, c in self.coeffs.items()})
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.coeffs.items()})
 
-    def scale(self, c) -> "LieElement":
+    def scale(self, c):
         c = Fraction(c)
-        return LieElement({b: c * v for b, v in self.coeffs.items()})
+        return type(self)({k: c * v for k, v in self.coeffs.items()})
 
-    __rmul__ = scale
-    __mul__ = scale
+    def __rmul__(self, c):
+        return self.scale(c)
+
+    def convolve(self, other):
+        """Keyed product: keys combine by ``+`` (tuples concatenate,
+        exponents add) and coefficients multiply."""
+        out: dict = {}
+        for ka, ca in self.coeffs.items():
+            for kb, cb in other.coeffs.items():
+                k = ka + kb
+                c = ca * cb
+                old = out.get(k)
+                out[k] = c if old is None else old + c
+        return type(self)(out)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LieElement) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
+
+
+class LieElement(LinComb):
+    """Finite rational combination of canonical basis elements."""
+
+    __slots__ = ()
+
+    def support(self) -> list[BasisElement]:
+        return sorted(self.coeffs)
+
+    __mul__ = LinComb.scale
 
     def __repr__(self):
         if self.is_zero:

@@ -51,118 +51,6 @@ class SolveResult:
     kernel: list[list[Fraction]] = field(default_factory=list)
 
 
-def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form with transforms: returns (U, S, V) with S = U A V.
-
-    U and V are unimodular; S is diagonal with each entry dividing the
-    next.  Textbook gcd-pivot elimination; entries stay exact ints.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    s = [row[:] for row in a]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        s[dst] = [x + q * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in s:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def balanced_div(x, d):
-        # quotient with remainder in (-|d|/2, |d|/2]; keeps entries small
-        # Python's remainder has the sign of d, so the correction is
-        # always one step in the same direction.
-        q, r = divmod(x, d)
-        if 2 * abs(r) > abs(d):
-            q += 1
-        return q
-
-    t = 0
-    while t < min(m, n):
-        # pivot on the smallest nonzero entry in the trailing block
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = abs(s[i][j])
-                if x and (best is None or x < best):
-                    best, piv = x, (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear the pivot column, re-pivoting on any remainder
-            dirty = False
-            for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    add_row(i, t, -balanced_div(s[i][t], s[t][t]))
-                    if s[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    add_col(j, t, -balanced_div(s[t][j], s[t][t]))
-                    if s[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # divisibility fix-up so diagonal entries form a chain
-        fixed = True
-        for i in range(t + 1, m):
-            if any(x % s[t][t] for x in s[i][t + 1:]):
-                add_row(t, i, 1)
-                fixed = False
-                break
-        if not fixed:
-            continue
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return u, s, v
-
-
-def integer_solve(columns: list[list[int]], target: list[int]) -> list[int] | None:
-    """One integer solution of sum_i c_i * columns[i] = target, or None."""
-    n = len(columns)
-    if n == 0:
-        return [] if all(x == 0 for x in target) else None
-    m = len(target)
-    a = [[columns[j][i] for j in range(n)] for i in range(m)]
-    u, s, v = smith_normal_form(a)
-    ub = [sum(u[i][k] * target[k] for k in range(m)) for i in range(m)]
-    y = [0] * n
-    for i in range(m):
-        d = s[i][i] if i < n else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
-            y[i] = ub[i] // d
-    return [sum(v[i][k] * y[k] for k in range(n)) for i in range(n)]
-
-
 def solve_columns(columns: list[Row], target: Row) -> SolveResult:
     """Solve sum_i c_i * columns[i] = target.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lie import BasisElement, Kind, LieElement
+from .lie import BasisElement, Kind, LieElement, LinComb
 
 FR0 = Fraction(0)
 FR1 = Fraction(1)
@@ -37,9 +37,8 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    @property
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
+    def __bool__(self):
+        return bool(self.re or self.im)
 
     def __repr__(self):
         sign = "+" if self.im >= 0 else "-"
@@ -55,40 +54,12 @@ def gr(re=0, im=0) -> GaussianRational:
     return GaussianRational(Fraction(re), Fraction(im))
 
 
-class LaurentPoly:
+class LaurentPoly(LinComb):
     """Finite map exponent -> Gaussian-rational coefficient."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict[int, GaussianRational] | None = None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if not c.is_zero}
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, GR0) + c
-        return LaurentPoly(out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, GR0) - c
-        return LaurentPoly(out)
-
-    def __mul__(self, other):
-        out: dict[int, GaussianRational] = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                e = ea + eb
-                out[e] = out.get(e, GR0) + ca * cb
-        return LaurentPoly(out)
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+    __mul__ = LinComb.convolve
 
     def scale(self, c: GaussianRational):
         return LaurentPoly({e: c * v for e, v in self.coeffs.items()})
@@ -96,12 +67,6 @@ class LaurentPoly:
     def invert_t(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
         return LaurentPoly({-e: c for e, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
         if self.is_zero:
@@ -163,10 +128,8 @@ class LoopMatrix:
 
 M0 = LoopMatrix()
 
-# sl2 generators with constant entries
+# sl2 raising generator with constant entries
 X_PLUS = LoopMatrix(a12=tpow(0))
-X_MINUS = LoopMatrix(a21=tpow(0))
-H_STD = LoopMatrix(a11=tpow(0), a22=tpow(0, -GR1))
 
 HALF = GaussianRational(Fraction(1, 2))
 # Fixed-point sl2 frame: h = -i(x+ - x-), x(+/-) = (x+ + x- -/+ ih)/2
@@ -223,16 +186,6 @@ def onsager_G(l: int) -> LoopMatrix:
     """(1/2) h (x) (t^l - t^-l)."""
     half = t_minus(l).scale(HALF)
     return LoopMatrix(a11=half, a22=-half)
-
-
-def uvw(kind: str, index: int) -> LoopMatrix:
-    if kind == "u":
-        return LoopMatrix(a12=t_plus(index), a21=-t_plus(index))
-    if kind == "v":
-        return LoopMatrix(a12=t_minus(index), a21=t_minus(index))
-    if kind == "w":
-        return LoopMatrix(a11=t_minus(index), a22=-t_minus(index))
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def verify_structure_constants(max_index: int):

@@ -17,13 +17,12 @@ from fractions import Fraction
 from typing import Union
 
 from . import caches, linalg
-from .lie import Kind, LieElement, xminus, xplus
+from .lie import Kind, LieElement, LinComb, xminus, xplus
 from .uea import (
     UEAElement,
     UEA_ONE,
     UEA_ZERO,
     divided_power,
-    from_lie,
     multiply,
     pbw_normal_form,
 )
@@ -107,50 +106,12 @@ def word_key(word: MWord):
     return tuple((category(f),) + factor_key(f) + (f.order,) for f in word)
 
 
-class MForm:
+class MForm(LinComb):
     """Rational combination of products of integral-generator factors."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict[MWord, Fraction] | None = None):
-        self.coeffs = {w: c for w, c in (coeffs or {}).items() if c != 0}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def items(self):
-        return self.coeffs.items()
-
-    def __add__(self, other: "MForm") -> "MForm":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, ZERO) + c
-        return MForm(out)
-
-    def __sub__(self, other: "MForm") -> "MForm":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "MForm":
-        return self.scale(-1)
-
-    def scale(self, c) -> "MForm":
-        c = Fraction(c)
-        return MForm({w: c * v for w, v in self.coeffs.items()})
-
-    def __mul__(self, other: "MForm") -> "MForm":
-        out: dict[MWord, Fraction] = {}
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                w = w1 + w2
-                out[w] = out.get(w, ZERO) + c1 * c2
-        return MForm(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MForm) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+    __mul__ = LinComb.convolve
 
     def words(self) -> list[MWord]:
         return sorted(self.coeffs, key=lambda w: (mdegree(w), len(w), word_key(w)))
@@ -462,16 +423,6 @@ def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
 
 # ---------------------------------------------------------------------------
 # Normalization.
-
-def _is_canonical_word(w: MWord) -> bool:
-    for a, b in zip(w, w[1:]):
-        ca, cb = category(a), category(b)
-        if ca > cb:
-            return False
-        if ca == cb and factor_key(a) >= factor_key(b):
-            return False
-    return True
-
 
 def _splice(word: MWord, i: int, repl: MForm) -> MForm:
     """Replace word[i:i+2] by each term of repl."""

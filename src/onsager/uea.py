@@ -15,44 +15,13 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import caches
-from .lie import BasisElement, LieElement, ZERO, ONE, bracket_basis, compare
+from .lie import BasisElement, LieElement, LinComb, ZERO, ONE, bracket_basis, compare
 
 Word = tuple[BasisElement, ...]
 
 
-class UEAElement:
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[Word, Fraction] | None = None):
-        self.coeffs = {w: c for w, c in (coeffs or {}).items() if c != 0}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def items(self):
-        return self.coeffs.items()
-
-    def __add__(self, other: "UEAElement") -> "UEAElement":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, ZERO) + c
-        return UEAElement(out)
-
-    def __sub__(self, other: "UEAElement") -> "UEAElement":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, ZERO) - c
-        return UEAElement(out)
-
-    def __neg__(self) -> "UEAElement":
-        return UEAElement({w: -c for w, c in self.coeffs.items()})
-
-    def scale(self, c) -> "UEAElement":
-        c = Fraction(c)
-        return UEAElement({w: c * v for w, v in self.coeffs.items()})
-
-    __rmul__ = scale
+class UEAElement(LinComb):
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, UEAElement):
@@ -60,12 +29,6 @@ class UEAElement:
         if isinstance(other, LieElement):
             return multiply(self, from_lie(other))
         return self.scale(other)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UEAElement) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def words(self) -> list[Word]:
         """Support in graded-lexicographic order (length, then entries)."""
@@ -86,21 +49,12 @@ UEA_ZERO = UEAElement()
 UEA_ONE = UEAElement({(): ONE})
 
 
-def unit() -> UEAElement:
-    return UEA_ONE
-
-
 def from_lie(a: LieElement) -> UEAElement:
     return UEAElement({(b,): c for b, c in a.coeffs.items()})
 
 
 def multiply(a: UEAElement, b: UEAElement) -> UEAElement:
-    out: dict[Word, Fraction] = {}
-    for wa, ca in a.coeffs.items():
-        for wb, cb in b.coeffs.items():
-            w = wa + wb
-            out[w] = out.get(w, ZERO) + ca * cb
-    return UEAElement(out)
+    return a.convolve(b)
 
 
 def product(factors: Iterable[UEAElement]) -> UEAElement:
@@ -108,10 +62,6 @@ def product(factors: Iterable[UEAElement]) -> UEAElement:
     for f in factors:
         out = multiply(out, f)
     return out
-
-
-def _is_ordered(w: Word) -> bool:
-    return all(compare(w[i], w[i + 1]) <= 0 for i in range(len(w) - 1))
 
 
 _NF_CACHE: dict[tuple[Word, str], dict[Word, Fraction]] = caches.register({})
@@ -156,14 +106,6 @@ def equal(a: UEAElement, b: UEAElement) -> bool:
     return pbw_normal_form(a - b).is_zero
 
 
-def degree(a: UEAElement) -> float:
-    """Filtration degree: longest word of the normal form; -inf for 0."""
-    nf = pbw_normal_form(a)
-    if nf.is_zero:
-        return float("-inf")
-    return max(len(w) for w in nf.coeffs)
-
-
 def power(a: UEAElement, k: int) -> UEAElement:
     out = UEA_ONE
     for _ in range(k):
@@ -188,11 +130,6 @@ def binomial(a: UEAElement | LieElement, k: int) -> UEAElement:
     for i in range(k):
         out = multiply(out, a - UEA_ONE.scale(i))
     return out.scale(Fraction(1, math.factorial(k)))
-
-
-def sorted_word(w: Word) -> Word:
-    """Sort a word of pairwise-commuting letters (same-kind runs)."""
-    return tuple(sorted(w))
 
 
 def commutative_multiply(a: UEAElement, b: UEAElement) -> UEAElement:

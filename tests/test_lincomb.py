@@ -1,0 +1,61 @@
+"""The shared sparse-combination behaviour of the four element types."""
+
+from fractions import Fraction
+
+import pytest
+
+from onsager.lie import BasisElement, Kind, LieElement
+from onsager.loop import GR0, GR1, GaussianRational, LaurentPoly, gr
+from onsager.straighten import LFactor, MForm, XFactor
+from onsager.uea import UEAElement
+
+XP1 = BasisElement(Kind.XPLUS, 1)
+H2 = BasisElement(Kind.H, 2)
+
+# each type with two distinct keys and its own zero and unit coefficient
+CASES = {
+    "lie": (LieElement, XP1, H2, Fraction(0), Fraction(1)),
+    "uea": (UEAElement, (XP1, H2), (), Fraction(0), Fraction(1)),
+    "mform": (MForm, (XFactor(1, 1, 2),), (LFactor(2, 1, 1),), Fraction(0), Fraction(1)),
+    "laurent": (LaurentPoly, 3, -1, GR0, GR1),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    return CASES[request.param]
+
+
+def test_zero_coefficients_dropped_at_construction(case):
+    cls, k1, k2, zero, one = case
+    assert cls({k1: zero, k2: one}).coeffs == {k2: one}
+    assert cls({k1: zero}).is_zero
+
+
+def test_difference_with_itself_is_empty(case):
+    cls, k1, k2, zero, one = case
+    x = cls({k1: one, k2: one + one})
+    assert (x - x).coeffs == {}
+    assert (x + -x).coeffs == {}
+
+
+def test_equal_elements_hash_equal(case):
+    cls, k1, k2, zero, one = case
+    a, b = cls({k1: one}), cls({k2: one + one})
+    assert a + b == b + a
+    assert hash(a + b) == hash(b + a)
+    assert len({a + b, b + a, a}) == 2
+
+
+def test_equal_coefficient_dicts_in_different_types_differ():
+    coeffs = {(): Fraction(1)}
+    assert LieElement(coeffs) != UEAElement(coeffs)
+    assert MForm(coeffs) != UEAElement(coeffs)
+    assert LieElement({XP1: Fraction(1)}) != UEAElement({XP1: Fraction(1)})
+
+
+def test_gaussian_zero_is_falsy_and_cancels_in_laurent_poly():
+    assert not GaussianRational()
+    assert gr(0, 1) and gr(1, 0)
+    p = LaurentPoly({1: gr(2, -3), 2: GR1}) + LaurentPoly({1: gr(-2, 3)})
+    assert p.coeffs == {2: GR1}
