@@ -170,9 +170,8 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_coords(args) -> int:
-    target = pbw_normal_form(_eval_arg(args.expr))
     try:
-        coords = coordinates(target, args.mdegree, args.index)
+        coords = coordinates(_eval_arg(args.expr), args.mdegree, args.index)
     except OutOfTruncation as exc:
         print(f"error: out of truncation: {exc}", file=sys.stderr)
         return 1
@@ -366,6 +365,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

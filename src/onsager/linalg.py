@@ -1,80 +1,86 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse elimination over the rationals.
 
-Small and boring on purpose: reduced row echelon form, rank, kernel
-bases, and a solver that reports whether the solution is unique.  Sizes
-here are at most a few hundred columns, so no sparsity tricks.
+A vector is a dict from ordered keys to rational coefficients: the
+``coeffs`` of any element (PBW words, h-indices), used as they are.
+``rref`` reduces the inputs in order against pivot rows keyed by their
+largest key, which is sparse row echelon under that order (the linear
+algebra of Faugère's F4).  Each pivot row is scaled to lead 1 and
+carries the combination of input positions it equals, so an input that
+reduces to zero yields its dependency at once.
+
+An input reduces to zero exactly when it lies in the span of the earlier
+inputs, i.e. when it is a free column of the dense reduced echelon form
+taken in input order.  The pivot set, the particular solution (free
+variables 0) and the kernel vectors are therefore the dense ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-Row = list[Fraction]
+ONE = Fraction(1)
+
+Vector = dict  # key -> coefficient, zeros dropped
+Pivots = dict  # lead key -> (row with lead 1, {input position: coefficient})
 
 
-def rref(matrix: list[Row]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+def _add_multiple(acc: Vector, f, vec: Vector) -> None:
+    """acc += f * vec in place, dropping the entries that cancel."""
+    for k, c in vec.items():
+        v = acc.get(k, 0) + f * c
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
 
 
-def rank(matrix: list[Row]) -> int:
-    return len(rref(matrix)[1])
+def _reduce(pivots: Pivots, vec: Vector) -> tuple[Vector, Vector]:
+    """Cancel the lead of vec against pivots until none matches.
 
-
-@dataclass
-class SolveResult:
-    consistent: bool
-    solution: list[Fraction] | None = None
-    unique: bool = True
-    kernel: list[list[Fraction]] = field(default_factory=list)
-
-
-def solve_columns(columns: list[Row], target: Row) -> SolveResult:
-    """Solve sum_i c_i * columns[i] = target.
-
-    When the columns are dependent but the system is consistent, the
-    returned particular solution sets all free variables to zero (free
-    variables are the later columns, so earlier candidates are
-    preferred) and a kernel basis is attached.
+    Returns (rest, used) with vec = rest + sum of used[i] * input i.
     """
-    ncols = len(columns)
-    nrows = len(target)
-    aug = [[columns[c][r] for c in range(ncols)] + [target[r]] for r in range(nrows)]
-    rows, pivots = rref(aug)
-    if ncols in pivots:
-        return SolveResult(consistent=False)
-    pivots = [p for p in pivots if p < ncols]
-    solution = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        solution[p] = rows[i][ncols]
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    kernel = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -rows[i][f]
-        kernel.append(vec)
-    return SolveResult(True, solution, unique=not free, kernel=kernel)
+    rest, used = dict(vec), {}
+    while rest:
+        lead = max(rest)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            break
+        row, combo = pivot
+        f = rest[lead]
+        _add_multiple(rest, -f, row)
+        _add_multiple(used, f, combo)
+    return rest, used
+
+
+def rref(vectors: list[Vector]) -> tuple[Pivots, list[Vector]]:
+    """Row echelon form of the inputs; returns (pivots, kernel).
+
+    Each kernel vector is the vanishing combination of one dependent
+    input with the pivot inputs before it, that input at 1.
+    """
+    pivots: Pivots = {}
+    kernel: list[Vector] = []
+    for i, vec in enumerate(vectors):
+        rest, used = _reduce(pivots, vec)
+        combo = {i: ONE}
+        _add_multiple(combo, -1, used)
+        if not rest:
+            kernel.append(combo)
+            continue
+        lead = max(rest)
+        inv = ONE / rest[lead]
+        pivots[lead] = ({k: c * inv for k, c in rest.items()},
+                        {k: c * inv for k, c in combo.items()})
+    return pivots, kernel
+
+
+def solve_columns(columns: list[Vector], target: Vector) -> tuple[Vector | None, list[Vector]]:
+    """Solve sum_i c_i * columns[i] = target; returns (solution, kernel).
+
+    The solution is None when the target is outside the span.  With
+    dependent columns it is the one that sets every free (later,
+    dependent) column to zero, so earlier candidates are preferred.
+    """
+    pivots, kernel = rref(columns)
+    rest, used = _reduce(pivots, target)
+    return (None if rest else used), kernel

@@ -178,7 +178,7 @@ def expand(m: MForm) -> UEAElement:
     out = UEA_ZERO
     for w, c in m.items():
         out = out + expand_word(w).scale(c)
-    return pbw_normal_form(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -538,40 +538,22 @@ def _within_bounds(word: MWord, max_mdegree: int, max_index: int) -> bool:
 def coordinates(a: UEAElement, max_mdegree: int, max_index: int) -> dict[MWord, Fraction]:
     """Exact coordinates of a against the enumerated monomials.
 
-    Sets up the full linear system over the PBW words and solves by
-    rational elimination.  Raises OutOfTruncation when no solution
+    Writes the target's PBW normal form as a combination of the
+    candidates' expansions by exact sparse elimination.  Raises OutOfTruncation when no solution
     exists inside the bounds and AmbiguousSolution when the candidates
     are dependent (the kernel is attached for reporting).
     """
     basis = enumerate_basis(max_mdegree, max_index)
-    expansions = [expand_word(w) for w in basis]
-    target = pbw_normal_form(a)
-    rows: list = []
-    row_of: dict = {}
-    for e in expansions + [target]:
-        for w in e.words():
-            if w not in row_of:
-                row_of[w] = len(rows)
-                rows.append(w)
-    cols = []
-    for e in expansions:
-        col = [ZERO] * len(rows)
-        for w, c in e.items():
-            col[row_of[w]] = c
-        cols.append(col)
-    tvec = [ZERO] * len(rows)
-    for w, c in target.items():
-        tvec[row_of[w]] = c
-    sol = linalg.solve_columns(cols, tvec)
-    if not sol.consistent:
+    solution, kernel = linalg.solve_columns([expand_word(w).coeffs for w in basis],
+                                            pbw_normal_form(a).coeffs)
+    if solution is None:
         raise OutOfTruncation(
             f"no expression within mdegree {max_mdegree}, index {max_index}")
-    if not sol.unique:
-        kernel = [{basis[i]: v for i, v in enumerate(vec) if v != 0}
-                  for vec in sol.kernel]
-        particular = {basis[i]: v for i, v in enumerate(sol.solution) if v != 0}
-        raise AmbiguousSolution(particular, kernel, basis)
-    return {basis[i]: c for i, c in enumerate(sol.solution) if c != 0}
+    coords = {basis[i]: c for i, c in sorted(solution.items())}
+    if kernel:
+        raise AmbiguousSolution(
+            coords, [{basis[i]: c for i, c in sorted(v.items())} for v in kernel], basis)
+    return coords
 
 
 def mform_coordinates(m: MForm, max_mdegree: int, max_index: int) -> dict[MWord, Fraction]:

@@ -45,6 +45,7 @@ from .straighten import (
     XFactor,
     enumerate_basis,
     expand,
+    expand_word,
     duv_mform,
     lfactor,
     mdegree,
@@ -463,12 +464,12 @@ def _chk_LL(p) -> Check:
         return False, (product, UEA_ZERO)
     lead = (lfactor(j, l, k + m),)
     if out.coeffs.get(lead, ZERO) != binom(k + m, k):
-        return False, (pbw_normal_form(expand(out)), product)
+        return False, (expand(out), product)
     for w, coeff in out.coeffs.items():
         if coeff.denominator != 1:
-            return False, (pbw_normal_form(expand(out)), product)
+            return False, (expand(out), product)
         if w != lead and mdegree(w) >= k + m:
-            return False, (pbw_normal_form(expand(out)), product)
+            return False, (expand(out), product)
     return _eq_u(expand(out), product)
 
 
@@ -492,7 +493,7 @@ def _chk_BRKDEG(p) -> Check:
     bound = (a.order if isinstance(a, XFactor) else a.order) + b.order
     for w, coeff in comm.coeffs.items():
         if coeff.denominator != 1 or mdegree(w) >= bound:
-            return False, (pbw_normal_form(expand(comm)), UEA_ZERO)
+            return False, (expand(comm), UEA_ZERO)
     return True, None
 
 
@@ -509,7 +510,7 @@ def _chk_CORINT(p) -> Check:
     target = pbw_normal_form(duv_rec(sg, u, v, j, l))
     nf = normalize_to_basis(duv_mform(sg, u, v, j, l))
     if any(coeff.denominator != 1 for coeff in nf.coeffs.values()):
-        return False, (pbw_normal_form(expand(nf)), target)
+        return False, (expand(nf), target)
     return _eq_u(expand(nf), target)
 
 
@@ -637,20 +638,16 @@ def audit_span(parity: str, cutoff: int) -> SpanReport:
         raise ValueError("cutoff must be >= 1")
     want = 0 if parity == "even" else 1
     indices = [k for k in range(cutoff, -1, -1) if k % 2 == want]
-    col = {k: i for i, k in enumerate(indices)}
     rows = []
     for j in range(1, cutoff + 1):
         for l in range(1, j + 1):
             i = 1
             while i * (j + l) <= cutoff:
                 if (i * (j + l)) % 2 == want:
-                    vec = [ZERO] * len(indices)
-                    for b, c in p_closed(i, j, l).items():
-                        vec[col[b.index]] += c
-                    rows.append(vec)
+                    rows.append({b.index: c for b, c in p_closed(i, j, l).items()})
                 i += 1
-    _, pivots = linalg.rref(rows)
-    quotient = [indices[i] for i in range(len(indices)) if i not in pivots]
+    pivots, _ = linalg.rref(rows)
+    quotient = [k for k in indices if k not in pivots]
     return SpanReport(parity, cutoff, len(indices), len(pivots), quotient)
 
 
@@ -682,18 +679,8 @@ def audit_theorem(max_mdegree: int, max_index: int) -> TheoremReport:
     are reported, not raised.
     """
     basis = enumerate_basis(max_mdegree, max_index)
-    expansions = [pbw_normal_form(expand(monomial(*w))) for w in basis]
-    index: dict = {}
-    for e in expansions:
-        for w in e.coeffs:
-            index.setdefault(w, len(index))
-    rows = []
-    for e in expansions:
-        vec = [ZERO] * len(index)
-        for w, c in e.coeffs.items():
-            vec[index[w]] = c
-        rows.append(vec)
-    rk = linalg.rank(rows)
+    expansions = [expand_word(w) for w in basis]
+    rk = len(linalg.rref([e.coeffs for e in expansions])[0])
 
     def leading(e: UEAElement):
         return max(e.coeffs, key=lambda w: (len(w), w))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -170,6 +171,10 @@ def test_audit_commands(capsys):
                  "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 4 and payload["independent"] is True
+    assert main(["audit", "theorem", "--mdegree", "3", "--index", "3",
+                 "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "2501ab22a0034b4594f973d29e8ff2224d16f4c098e5366a46bcd295a4014175"
 
 
 def test_realize_command(capsys):
@@ -182,6 +187,14 @@ def test_syntax_error_exit_code(capsys):
     assert main(["normalize", "xp(1"]) == 2
     assert "syntax error" in capsys.readouterr().err
     assert main(["normalize", "lam(1,0,2)"]) == 2
+    capsys.readouterr()
+    # out-of-range bounds are usage errors: a message and exit 2, no traceback
+    for argv in (["coords", "xp(1)", "--mdegree", "-1", "--index", "1"],
+                 ["coords", "xp(1)", "--mdegree", "1", "--index", "0"],
+                 ["audit", "theorem", "--mdegree", "2", "--index", "0"],
+                 ["audit", "span", "--parity", "even", "--cutoff", "0"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_config_file_defaults(tmp_path, monkeypatch, capsys):
