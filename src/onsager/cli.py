@@ -4,8 +4,9 @@ Subcommands: ``normalize``, ``bracket``, ``coords``, ``verify``,
 ``audit span``, ``audit theorem``, ``realize``.  Exit codes: 0 on
 success / all-pass, 1 on identity failure or a computation that cannot
 be completed (e.g. coordinates outside the truncation), 2 on usage
-errors.  All diagnostics go to standard error; reports in JSON format
-are byte-identical across runs with the same configuration.
+errors and on input that nests too deeply to evaluate.  All
+diagnostics go to standard error; reports in JSON format are
+byte-identical across runs with the same configuration.
 
 The environment variable ``ONSAGER_CONFIG`` may point to a key=value
 file providing defaults for the verify options (``max_index``,
@@ -20,7 +21,7 @@ import os
 import sys
 
 from . import loop
-from .lie import Kind
+from .lie import KIND_NAMES
 from .uea import UEAElement, pbw_normal_form
 from .expr import (
     DomainError,
@@ -46,8 +47,6 @@ from .verify import (
     run_suite,
 )
 
-_KIND_NAMES = {Kind.XMINUS: "xm", Kind.H: "h", Kind.XPLUS: "xp"}
-
 ENV_CONFIG = "ONSAGER_CONFIG"
 
 
@@ -56,10 +55,10 @@ ENV_CONFIG = "ONSAGER_CONFIG"
 
 def element_to_json(u: UEAElement) -> dict:
     words = []
-    for w in sorted(u.coeffs, key=lambda w: (len(w), w)):
+    for w in u.words():
         words.append({
             "coeff": str(u.coeffs[w]),
-            "factors": [{"kind": _KIND_NAMES[b.kind], "index": b.index} for b in w],
+            "factors": [{"kind": KIND_NAMES[b.kind], "index": b.index} for b in w],
         })
     return {"words": words}
 
@@ -368,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply to evaluate", file=sys.stderr)
         return 2
 
 

@@ -244,17 +244,6 @@ def duv_series(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
     return acc[top].scale(Fraction(1, math.factorial(v)))
 
 
-def duv(sign: int, u: int, v: int, j: int, l: int, method: str = "recursion") -> UEAElement:
-    methods = {
-        "recursion": duv_rec,
-        "multinomial": duv_multinomial,
-        "series": duv_series,
-    }
-    if method not in methods:
-        raise ValueError(f"unknown method {method!r}")
-    return methods[method](sign, u, v, j, l)
-
-
 def d_triple(sign: int, u: int, j: int, k: int, m: int) -> LieElement:
     """Three-index D element: alternating binomial combination of x's."""
     gen = xplus if sign > 0 else xminus

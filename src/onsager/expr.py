@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lie import Kind, LieElement, bracket, h, xminus, xplus
+from .lie import KIND_NAMES, LieElement, bracket, h, xminus, xplus
 from .uea import UEAElement, UEA_ONE, binomial, divided_power, from_lie, multiply
 from .elements import d1_closed, d_triple, duv_rec, lambda_rec, p_def
 
@@ -383,17 +383,14 @@ def _evaluate_call(e: Call) -> UEAElement:
 # ---------------------------------------------------------------------------
 # Element rendering back into the surface syntax
 
-_KIND_NAMES = {Kind.XMINUS: "xm", Kind.H: "h", Kind.XPLUS: "xp"}
-
-
 def element_to_text(u: UEAElement) -> str:
     """Render a PBW element in parseable surface syntax."""
     if u.is_zero:
         return "0"
     parts = []
-    for w in sorted(u.coeffs, key=lambda w: (len(w), w)):
+    for w in u.words():
         c = u.coeffs[w]
-        factors = "*".join(f"{_KIND_NAMES[b.kind]}({b.index})" for b in w)
+        factors = "*".join(f"{KIND_NAMES[b.kind]}({b.index})" for b in w)
         if not w:
             body = str(abs(c))
         elif abs(c) == 1:

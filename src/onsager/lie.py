@@ -25,18 +25,15 @@ class Kind(IntEnum):
     XPLUS = 2
 
 
+# Surface-syntax name of each family, shared by every printer.
+KIND_NAMES = {Kind.XMINUS: "xm", Kind.H: "h", Kind.XPLUS: "xp"}
+
+
 class BasisElement(NamedTuple):
+    """Basis element; the tuple order (kind, then index) is the basis order."""
+
     kind: Kind
     index: int
-
-
-def compare(a: BasisElement, b: BasisElement) -> int:
-    """Total order on canonical basis elements: -1, 0 or 1."""
-    if a.kind != b.kind:
-        return -1 if a.kind < b.kind else 1
-    if a.index != b.index:
-        return -1 if a.index < b.index else 1
-    return 0
 
 
 class LinComb:
@@ -118,11 +115,10 @@ class LieElement(LinComb):
     def __repr__(self):
         if self.is_zero:
             return "0"
-        names = {Kind.XMINUS: "xm", Kind.H: "h", Kind.XPLUS: "xp"}
         parts = []
         for b in self.support():
             c = self.coeffs[b]
-            parts.append(f"{c}*{names[b.kind]}({b.index})")
+            parts.append(f"{c}*{KIND_NAMES[b.kind]}({b.index})")
         return " + ".join(parts)
 
 

@@ -25,6 +25,7 @@ from .uea import (
     divided_power,
     multiply,
     pbw_normal_form,
+    rewrite,
 )
 from .elements import binom, d1_closed, d_triple, exponent_tuples, lambda_rec
 
@@ -424,10 +425,9 @@ def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
 # ---------------------------------------------------------------------------
 # Normalization.
 
-def _splice(word: MWord, i: int, repl: MForm) -> MForm:
-    """Replace word[i:i+2] by each term of repl."""
-    head, tail = word[:i], word[i + 2:]
-    return MForm({head + mid + tail: c for mid, c in repl.items()})
+def _out_of_order(a: Factor, b: Factor) -> bool:
+    ca, cb = category(a), category(b)
+    return ca > cb or (ca == cb and factor_key(a) >= factor_key(b))
 
 
 def _rewrite_pair(a: Factor, b: Factor) -> MForm:
@@ -452,30 +452,17 @@ def _rewrite_pair(a: Factor, b: Factor) -> MForm:
 def normalize_to_basis(m: MForm) -> MForm:
     """Rewrite an arbitrary factor product into ordered monomials.
 
-    Applies the leftmost applicable rule of each word repeatedly.  The
-    out-of-order rules strictly reduce either the mdegree of the messy
-    part or an inversion count at fixed mdegree, so the worklist
-    terminates.
+    Runs the shared engine :func:`uea.rewrite` on each word, rewriting
+    the leftmost out-of-order pair by the rules above, with one memo per
+    call.  The out-of-order rules strictly reduce either the mdegree of
+    the messy part or an inversion count at fixed mdegree, so the
+    rewriting terminates.
     """
+    memo: dict = {}
     result: dict[MWord, Fraction] = {}
-    queue = list(m.items())
-    while queue:
-        word, coeff = queue.pop()
-        if coeff == 0:
-            continue
-        pos = None
-        for i in range(len(word) - 1):
-            a, b = word[i], word[i + 1]
-            ca, cb = category(a), category(b)
-            if ca > cb or (ca == cb and factor_key(a) >= factor_key(b)):
-                pos = i
-                break
-        if pos is None:
-            result[word] = result.get(word, ZERO) + coeff
-            continue
-        spliced = _splice(word, pos, _rewrite_pair(word[pos], word[pos + 1]))
-        for w, c in spliced.items():
-            queue.append((w, coeff * c))
+    for word, coeff in m.items():
+        for w, c in rewrite(word, _out_of_order, _rewrite_pair, memo).items():
+            result[w] = result.get(w, ZERO) + coeff * c
     return MForm(result)
 
 

@@ -1,21 +1,22 @@
 """Enveloping-algebra layer: words over the basis and PBW normal forms.
 
 Elements are rational combinations of words (finite sequences of
-canonical basis elements).  The normal form rewriter repeatedly replaces
-an adjacent descent ``ab`` (with a > b in the basis order) by
-``ba + [a,b]``; the PBW theorem makes the result independent of the
-rewriting strategy, which the test suite checks by running a second,
-rightmost-descent strategy.
+canonical basis elements).  :func:`rewrite` is the package's one
+rewriting engine; the PBW normal form runs it with the rule
+``ab -> ba + [a,b]`` on descents a > b, and the straightening calculus
+with its own factor order and rules.  The PBW theorem makes the result
+independent of the rewriting strategy, which the test suite checks by
+running a second, rightmost-descent strategy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable
 
 from . import caches
-from .lie import BasisElement, LieElement, LinComb, ZERO, ONE, bracket_basis, compare
+from .lie import BasisElement, LieElement, LinComb, ZERO, ONE, bracket_basis
 
 Word = tuple[BasisElement, ...]
 
@@ -57,47 +58,62 @@ def multiply(a: UEAElement, b: UEAElement) -> UEAElement:
     return a.convolve(b)
 
 
-def product(factors: Iterable[UEAElement]) -> UEAElement:
-    out = UEA_ONE
-    for f in factors:
-        out = multiply(out, f)
-    return out
+def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict:
+    """Normal form ``{word: coefficient}`` of one word under pair rewriting.
+
+    The first (or last) adjacent pair with ``bad(a, b)`` is replaced by
+    each term of ``rule(a, b).items()``; a word with no such pair is
+    normal.  Every word met is memoized in ``memo``.  The descent runs
+    post-order on an explicit stack, so long rewrite chains need no
+    Python recursion; the rules must terminate.
+    """
+    got = memo.get(word)
+    if got is not None:
+        return got
+    stack = [word]
+    pending: dict = {}  # word -> its rewritten pieces, until they are normal
+    while stack:
+        w = stack.pop()
+        if w in memo:
+            continue
+        pieces = pending.pop(w, None)
+        if pieces is not None:
+            out: dict = {}
+            for k, c in pieces:
+                for ww, cc in memo[k].items():
+                    old = out.get(ww)
+                    out[ww] = c * cc if old is None else old + c * cc
+            memo[w] = {ww: cc for ww, cc in out.items() if cc}
+            continue
+        for i in range(len(w) - 2, -1, -1) if rightmost else range(len(w) - 1):
+            if bad(w[i], w[i + 1]):
+                break
+        else:
+            memo[w] = {w: ONE}
+            continue
+        head, tail = w[:i], w[i + 2:]
+        pieces = pending[w] = [(head + mid + tail, c) for mid, c in rule(w[i], w[i + 1]).items()]
+        stack.append(w)
+        stack.extend(k for k, _ in pieces if k not in memo)
+    return memo[word]
 
 
-_NF_CACHE: dict[tuple[Word, str], dict[Word, Fraction]] = caches.register({})
+_NF_CACHE: dict[Word, dict[Word, Fraction]] = caches.register({})
 
 
-def _normal_form_word(w: Word, strategy: str) -> dict[Word, Fraction]:
-    key = (w, strategy)
-    cached = _NF_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    descents = [i for i in range(len(w) - 1) if compare(w[i], w[i + 1]) > 0]
-    if not descents:
-        result = {w: ONE}
-        _NF_CACHE[key] = result
-        return result
-
-    i = descents[0] if strategy == "leftmost" else descents[-1]
-    a, b = w[i], w[i + 1]
-    out: dict[Word, Fraction] = {}
-    swapped = w[:i] + (b, a) + w[i + 2 :]
-    for ww, cc in _normal_form_word(swapped, strategy).items():
-        out[ww] = out.get(ww, ZERO) + cc
-    for g, c in bracket_basis(a, b).coeffs.items():
-        contracted = w[:i] + (g,) + w[i + 2 :]
-        for ww, cc in _normal_form_word(contracted, strategy).items():
-            out[ww] = out.get(ww, ZERO) + c * cc
-    result = {ww: cc for ww, cc in out.items() if cc != 0}
-    _NF_CACHE[key] = result
-    return result
+def _swap(a: BasisElement, b: BasisElement) -> dict:
+    """ab = ba + [a,b]."""
+    return {(b, a): ONE, **{(g,): c for g, c in bracket_basis(a, b).items()}}
 
 
 def pbw_normal_form(a: UEAElement, strategy: str = "leftmost") -> UEAElement:
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    rightmost = strategy == "rightmost"
+    memo = {} if rightmost else _NF_CACHE  # the oracle route shares no entries
     out: dict[Word, Fraction] = {}
     for w, c in a.coeffs.items():
-        for ww, cc in _normal_form_word(w, strategy).items():
+        for ww, cc in rewrite(w, operator.gt, _swap, memo, rightmost).items():
             out[ww] = out.get(ww, ZERO) + c * cc
     return UEAElement(out)
 

@@ -17,7 +17,9 @@ from onsager.elements import (
     binom,
     d1_closed,
     d1_rec,
-    duv,
+    duv_multinomial,
+    duv_rec,
+    duv_series,
     lambda_rec,
     lambda_series,
     p_closed,
@@ -105,9 +107,9 @@ def test_dual_construction_paths_agree():
             for u in range(0, 7):
                 for v in range(0, 7 - u):
                     for sign in (+1, -1):
-                        a = duv(sign, u, v, j, l, method="recursion")
-                        b = duv(sign, u, v, j, l, method="multinomial")
-                        c = duv(sign, u, v, j, l, method="series")
+                        a = duv_rec(sign, u, v, j, l)
+                        b = duv_multinomial(sign, u, v, j, l)
+                        c = duv_series(sign, u, v, j, l)
                         assert equal(a, b) and equal(a, c)
     assert time.monotonic() - start < 120.0
 

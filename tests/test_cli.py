@@ -108,6 +108,9 @@ def test_normalize_command(capsys):
     # emitted text parses back to the same element
     assert equal(pbw_normal_form(evaluate(parse(out))),
                  pbw_normal_form(evaluate(parse("xp(1)*xm(1)"))))
+    # a 1225-swap rewrite chain needs no deep stack
+    assert main(["normalize", "*".join(f"xp({j})" for j in range(50, 0, -1))]) == 0
+    assert capsys.readouterr().out.strip() == "*".join(f"xp({j})" for j in range(1, 51))
 
 
 def test_normalize_json_schema(capsys):
@@ -195,6 +198,11 @@ def test_syntax_error_exit_code(capsys):
                  ["audit", "span", "--parity", "even", "--cutoff", "0"]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+    # inputs that nest beyond the interpreter stack: a message and exit 2
+    for expr in ("lam(1,1,1100)", "duv(+,0,1100,1,1)",
+                 "(" * 1200 + "h(1)" + ")" * 1200, "+".join(["h(1)"] * 3000)):
+        assert main(["normalize", expr]) == 2
+        assert capsys.readouterr().err == "error: input nests too deeply to evaluate\n"
 
 
 def test_config_file_defaults(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from onsager.lie import bracket, h, xminus, xplus
 from onsager.uea import equal, pbw_normal_form
 from onsager.elements import (
@@ -10,7 +8,6 @@ from onsager.elements import (
     d1_closed,
     d1_rec,
     d_triple,
-    duv,
     duv_multinomial,
     duv_rec,
     duv_series,
@@ -99,14 +96,6 @@ def test_duv_three_methods_agree():
                         a = duv_rec(sign, u, v, j, l)
                         assert equal(a, duv_multinomial(sign, u, v, j, l))
                         assert equal(a, duv_series(sign, u, v, j, l))
-
-
-def test_duv_dispatch():
-    a = duv(1, 2, 2, 1, 1, method="recursion")
-    assert equal(a, duv(1, 2, 2, 1, 1, method="multinomial"))
-    assert equal(a, duv(1, 2, 2, 1, 1, method="series"))
-    with pytest.raises(ValueError):
-        duv(1, 1, 1, 1, 1, method="nope")
 
 
 def test_exponent_tuples():

@@ -1,11 +1,13 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from onsager.lie import Kind, generator, h, xminus, xplus
+from onsager.lie import BasisElement, Kind, generator, h, xminus, xplus
 from onsager.uea import (
+    UEAElement,
     UEA_ONE,
     UEA_ZERO,
     binomial,
@@ -16,8 +18,9 @@ from onsager.uea import (
     multiply,
     pbw_normal_form,
     power,
-    product,
+    rewrite,
 )
+from onsager import uea
 from onsager.elements import binom
 
 
@@ -59,6 +62,15 @@ def test_confluence_leftmost_vs_rightmost():
         left = pbw_normal_form(a, strategy="leftmost")
         right = pbw_normal_form(a, strategy="rightmost")
         assert equal(left, right)
+
+
+def test_strategies_take_different_routes():
+    # the agreement test above only checks something if the routes differ
+    w = (BasisElement(Kind.XPLUS, 1), BasisElement(Kind.H, 1), BasisElement(Kind.XMINUS, 1))
+    left, right = {}, {}
+    assert (rewrite(w, operator.gt, uea._swap, left)
+            == rewrite(w, operator.gt, uea._swap, right, rightmost=True))
+    assert set(left) != set(right)
 
 
 def test_multiplication_associative():
@@ -111,7 +123,22 @@ def test_normal_form_linear(j, l, k):
     assert equal(lhs, rhs)
 
 
-def test_product_helper():
-    factors = [from_lie(xplus(1)), from_lie(h(2)), from_lie(xminus(1))]
-    assert equal(product(factors),
-                 multiply(multiply(factors[0], factors[1]), factors[2]))
+def test_deep_descent_both_strategies():
+    # 1225 swaps deep: a recursive descent exhausts the interpreter stack
+    letters = tuple(BasisElement(Kind.XPLUS, j) for j in range(50, 0, -1))
+    expected = UEAElement({letters[::-1]: 1})
+    for strategy in ("leftmost", "rightmost"):
+        assert pbw_normal_form(UEAElement({letters: 1}), strategy) == expected
+
+
+def test_unknown_strategy_rejected():
+    a = multiply(from_lie(xplus(1)), from_lie(xminus(1)))
+    with pytest.raises(ValueError):
+        pbw_normal_form(a, "Rightmost")
+
+
+def test_rightmost_keeps_out_of_the_cache():
+    a = multiply(from_lie(xplus(7)), multiply(from_lie(h(5)), from_lie(xminus(6))))
+    before = len(uea._NF_CACHE)
+    pbw_normal_form(a, "rightmost")
+    assert len(uea._NF_CACHE) == before
