@@ -27,16 +27,15 @@ from .expr import (
     DomainError,
     ExprSyntaxError,
     as_lie,
-    element_to_text,
     evaluate,
     parse,
 )
 from .straighten import (
     AmbiguousSolution,
-    LFactor,
     NoLambdaExpression,
     OutOfTruncation,
     coordinates,
+    monomial_to_text,
 )
 from .verify import (
     CATALOG,
@@ -97,19 +96,6 @@ def _emit_json(payload) -> None:
     sys.stdout.write("\n")
 
 
-def monomial_to_text(word) -> str:
-    if not word:
-        return "1"
-    parts = []
-    for f in word:
-        if isinstance(f, LFactor):
-            parts.append(f"lam({f.j},{f.l},{f.order})")
-        else:
-            name = "xp" if f.sign > 0 else "xm"
-            parts.append(f"dp({name}({f.index}),{f.order})")
-    return "*".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # Config file
 
@@ -152,7 +138,7 @@ def cmd_normalize(args) -> int:
     if args.format == "json":
         _emit_json(element_to_json(nf))
     else:
-        print(element_to_text(nf))
+        print(nf)
     return 0
 
 
@@ -164,7 +150,7 @@ def cmd_bracket(args) -> int:
     if args.format == "json":
         _emit_json(element_to_json(out))
     else:
-        print(element_to_text(out))
+        print(out)
     return 0
 
 

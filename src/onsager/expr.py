@@ -6,7 +6,12 @@ generators ``xp(j)``, ``xm(l)``, ``h(k)``; named elements ``lam``,
 binomials ``binom(e, n)`` of degree-one elements; ``+ - *`` with the
 usual precedence, unary minus, parentheses, and ``[a, b]`` for brackets
 of degree-one subexpressions.  Expressions evaluate to exact elements
-of the enveloping algebra.
+of the enveloping algebra.  ``str()`` of a Lie element, a PBW element or
+an ordered-monomial form (``LinComb.__repr__``) is text in this language.
+
+The syntax tree is n-ary: a chain of ``+``/``-`` is one :class:`Sum` and a
+chain of ``*`` one :class:`Product`, so evaluation nests only as deep as
+the input's parentheses, brackets, call arguments and unary minus chains.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lie import KIND_NAMES, LieElement, bracket, h, xminus, xplus
+from .lie import LieElement, bracket, h, xminus, xplus
 from .uea import UEAElement, UEA_ONE, binomial, divided_power, from_lie, multiply
 from .elements import d1_closed, d_triple, duv_rec, lambda_rec, p_def
 
@@ -49,26 +54,13 @@ class Call:
 
 
 @dataclass(frozen=True)
-class Neg:
-    arg: object
+class Sum:
+    terms: tuple  # (sign, node) pairs, sign +1 or -1; unary minus is one term
 
 
 @dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Product:
+    factors: tuple
 
 
 @dataclass(frozen=True)
@@ -77,12 +69,11 @@ class Bracket:
     right: object
 
 
-# calls taking only integer arguments, with arity
-_SIMPLE_CALLS = {"xp": 1, "xm": 1, "h": 1, "lam": 3, "p": 3}
-# calls whose first argument is a sign
-_SIGNED_CALLS = {"d1": 3, "duv": 4, "dt": 4}
-# calls whose first argument is a sub-expression
-_EXPR_CALLS = {"dp": 1, "binom": 1}
+# Argument kinds of each function: "i" integer, "s" sign, "e" sub-expression.
+_SIGNATURES = {
+    "xp": "i", "xm": "i", "h": "i", "lam": "iii", "p": "iii",
+    "d1": "siii", "duv": "siiii", "dt": "siiii", "dp": "ei", "binom": "ei",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +130,11 @@ def _tokenize(text: str) -> list[_Token]:
 
 # ---------------------------------------------------------------------------
 # Recursive-descent parser.  Grammar:
-#   expr    := term (("+" | "-") term)*
-#   term    := factor ("*" factor)*
-#   factor  := "-" factor | atom
+#   expr    := term (("+" | "-") term)*          -> Sum, unless one "+" term
+#   term    := factor ("*" factor)*              -> Product, unless one factor
+#   factor  := "-" factor | atom                 -> "-" gives a one-term Sum
 #   atom    := rational | call | "(" expr ")" | "[" expr "," expr "]"
+#   call    := name "(" arg ("," arg)* ")"       -> args per _SIGNATURES
 #   rational:= int ("/" int)?
 
 class _Parser:
@@ -173,24 +165,23 @@ class _Parser:
         return e
 
     def expr(self):
-        e = self.term()
+        terms = [(1, self.term())]
         while self.peek().text in ("+", "-"):
-            op = self.take().text
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
+            sign = 1 if self.take().text == "+" else -1
+            terms.append((sign, self.term()))
+        return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self):
-        e = self.factor()
+        factors = [self.factor()]
         while self.peek().text == "*":
             self.take()
-            e = Mul(e, self.factor())
-        return e
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def factor(self):
         if self.peek().text == "-":
             self.take()
-            return Neg(self.factor())
+            return Sum(((-1, self.factor()),))
         return self.atom()
 
     def atom(self):
@@ -202,6 +193,8 @@ class _Parser:
                 d = self.take()
                 if d.kind != "int":
                     raise ExprSyntaxError("expected denominator", d.line, d.column)
+                if int(d.text) == 0:
+                    raise ExprSyntaxError("zero denominator", d.line, d.column)
                 value /= int(d.text)
             return Lit(value)
         if t.text == "(":
@@ -228,73 +221,30 @@ class _Parser:
             raise ExprSyntaxError(f"expected integer, found {t.text!r}", t.line, t.column)
         return -int(t.text) if neg else int(t.text)
 
+    def sign(self) -> str:
+        s = self.take()
+        if s.text not in ("+", "-"):
+            raise ExprSyntaxError(f"expected sign '+' or '-', found {s.text!r}",
+                                  s.line, s.column)
+        return s.text
+
     def call(self, t: _Token):
-        name = t.text
-        if name in _SIMPLE_CALLS:
-            self.expect("(")
-            args = [self.integer()]
-            for _ in range(_SIMPLE_CALLS[name] - 1):
+        signature = _SIGNATURES.get(t.text)
+        if signature is None:
+            raise ExprSyntaxError(f"unknown function {t.text!r}", t.line, t.column)
+        read = {"i": self.integer, "s": self.sign, "e": self.expr}
+        self.expect("(")
+        args = []
+        for n, kind in enumerate(signature):
+            if n:
                 self.expect(",")
-                args.append(self.integer())
-            self.expect(")")
-            return Call(name, tuple(args))
-        if name in _SIGNED_CALLS:
-            self.expect("(")
-            s = self.take()
-            if s.text not in ("+", "-"):
-                raise ExprSyntaxError(f"expected sign '+' or '-', found {s.text!r}",
-                                      s.line, s.column)
-            args: list = [s.text]
-            for _ in range(_SIGNED_CALLS[name]):
-                self.expect(",")
-                args.append(self.integer())
-            self.expect(")")
-            return Call(name, tuple(args))
-        if name in _EXPR_CALLS:
-            self.expect("(")
-            inner = self.expr()
-            self.expect(",")
-            n = self.integer()
-            self.expect(")")
-            return Call(name, (inner, n))
-        raise ExprSyntaxError(f"unknown function {name!r}", t.line, t.column)
+            args.append(read[kind]())
+        self.expect(")")
+        return Call(t.text, tuple(args))
 
 
 def parse(text: str):
     return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# Printer.  print(parse(print(e))) == print(e).
-
-def to_text(e) -> str:
-    return _print(e, 0)
-
-
-def _print(e, prec: int) -> str:
-    # prec levels: 0 sum, 1 product, 2 unary/atom
-    if isinstance(e, Lit):
-        s = str(e.value)
-        return f"({s})" if e.value < 0 and prec >= 1 else s
-    if isinstance(e, Call):
-        parts = []
-        for a in e.args:
-            parts.append(_print(a, 0) if isinstance(a, (Lit, Call, Neg, Add, Sub, Mul, Bracket))
-                         else str(a))
-        return f"{e.name}({', '.join(parts)})"
-    if isinstance(e, Neg):
-        s = f"-{_print(e.arg, 2)}"
-        return f"({s})" if prec >= 1 else s
-    if isinstance(e, (Add, Sub)):
-        op = " + " if isinstance(e, Add) else " - "
-        s = _print(e.left, 0) + op + _print(e.right, 1)
-        return f"({s})" if prec >= 1 else s
-    if isinstance(e, Mul):
-        s = _print(e.left, 1) + "*" + _print(e.right, 2)
-        return f"({s})" if prec >= 2 else s
-    if isinstance(e, Bracket):
-        return f"[{_print(e.left, 0)}, {_print(e.right, 0)}]"
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +265,24 @@ def _sign(s: str) -> int:
 
 
 def evaluate(e) -> UEAElement:
-    if isinstance(e, Lit):
-        return UEA_ONE.scale(e.value)
-    if isinstance(e, Neg):
-        return evaluate(e.arg).scale(Fraction(-1))
-    if isinstance(e, Add):
-        return evaluate(e.left) + evaluate(e.right)
-    if isinstance(e, Sub):
-        return evaluate(e.left) - evaluate(e.right)
-    if isinstance(e, Mul):
-        return multiply(evaluate(e.left), evaluate(e.right))
-    if isinstance(e, Bracket):
-        return from_lie(bracket(as_lie(evaluate(e.left)), as_lie(evaluate(e.right))))
     if isinstance(e, Call):
         return _evaluate_call(e)
+    if isinstance(e, Sum):
+        out: dict = {}
+        for sign, term in e.terms:
+            for w, c in evaluate(term).items():
+                old = out.get(w)
+                out[w] = sign * c if old is None else old + sign * c
+        return UEAElement(out)
+    if isinstance(e, Product):
+        out = evaluate(e.factors[0])
+        for f in e.factors[1:]:
+            out = multiply(out, evaluate(f))
+        return out
+    if isinstance(e, Lit):
+        return UEA_ONE.scale(e.value)
+    if isinstance(e, Bracket):
+        return from_lie(bracket(as_lie(evaluate(e.left)), as_lie(evaluate(e.right))))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -378,27 +332,3 @@ def _evaluate_call(e: Call) -> UEAElement:
         _require(n >= 0, f"binomial order must be >= 0: {n}")
         return binomial(as_lie(evaluate(inner)), n)
     raise DomainError(f"unknown function {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# Element rendering back into the surface syntax
-
-def element_to_text(u: UEAElement) -> str:
-    """Render a PBW element in parseable surface syntax."""
-    if u.is_zero:
-        return "0"
-    parts = []
-    for w in u.words():
-        c = u.coeffs[w]
-        factors = "*".join(f"{KIND_NAMES[b.kind]}({b.index})" for b in w)
-        if not w:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = factors
-        else:
-            body = f"{abs(c)}*{factors}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)

@@ -25,7 +25,8 @@ class Kind(IntEnum):
     XPLUS = 2
 
 
-# Surface-syntax name of each family, shared by every printer.
+# Surface-syntax name of each family, shared by the element printer
+# (``LinComb.__repr__``) and the JSON report writer.
 KIND_NAMES = {Kind.XMINUS: "xm", Kind.H: "h", Kind.XPLUS: "xp"}
 
 
@@ -101,6 +102,33 @@ class LinComb:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
+    def __repr__(self):
+        """Surface syntax that ``expr.parse`` reads back, e.g.
+        ``-h(0) + 1/2*xm(1)*xp(1)``: terms in the subclass's ``_ordered``
+        key order, keys printed by its ``_show_key``, the empty key as a
+        plain constant and unit coefficients left out."""
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k in self._ordered():
+            c = self.coeffs[k]
+            a = abs(c)
+            if not k:
+                body = str(a)
+            elif a == 1:
+                body = self._show_key(k)
+            else:
+                body = f"{a}*{self._show_key(k)}"
+            if parts:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            else:
+                parts.append(body if c > 0 else f"-{body}")
+        return " ".join(parts)
+
+
+def basis_to_text(b: BasisElement) -> str:
+    return f"{KIND_NAMES[b.kind]}({b.index})"
+
 
 class LieElement(LinComb):
     """Finite rational combination of canonical basis elements."""
@@ -111,15 +139,8 @@ class LieElement(LinComb):
         return sorted(self.coeffs)
 
     __mul__ = LinComb.scale
-
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for b in self.support():
-            c = self.coeffs[b]
-            parts.append(f"{c}*{KIND_NAMES[b.kind]}({b.index})")
-        return " + ".join(parts)
+    _ordered = support
+    _show_key = staticmethod(basis_to_text)
 
 
 LIE_ZERO = LieElement()

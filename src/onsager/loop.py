@@ -122,9 +122,6 @@ class LoopMatrix:
     def is_zero(self):
         return self.a11.is_zero and self.a12.is_zero and self.a21.is_zero and self.a22.is_zero
 
-    def trace(self) -> LaurentPoly:
-        return self.a11 + self.a22
-
 
 M0 = LoopMatrix()
 

@@ -107,6 +107,20 @@ def word_key(word: MWord):
     return tuple((category(f),) + factor_key(f) + (f.order,) for f in word)
 
 
+def monomial_to_text(word: MWord) -> str:
+    """Surface syntax of a factor word, e.g. ``lam(2,1,1)*dp(xp(1),2)``."""
+    if not word:
+        return "1"
+    parts = []
+    for f in word:
+        if isinstance(f, LFactor):
+            parts.append(f"lam({f.j},{f.l},{f.order})")
+        else:
+            name = "xp" if f.sign > 0 else "xm"
+            parts.append(f"dp({name}({f.index}),{f.order})")
+    return "*".join(parts)
+
+
 class MForm(LinComb):
     """Rational combination of products of integral-generator factors."""
 
@@ -117,22 +131,8 @@ class MForm(LinComb):
     def words(self) -> list[MWord]:
         return sorted(self.coeffs, key=lambda w: (mdegree(w), len(w), word_key(w)))
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "MForm(0)"
-        bits = []
-        for w in self.words():
-            c = self.coeffs[w]
-            fac = "*".join(map(_show_factor, w)) if w else "1"
-            bits.append(f"({c})*{fac}")
-        return " + ".join(bits)
-
-
-def _show_factor(f: Factor) -> str:
-    if isinstance(f, LFactor):
-        return f"L({f.j},{f.l},{f.order})"
-    s = "+" if f.sign > 0 else "-"
-    return f"x{s}({f.index})^({f.order})"
+    _ordered = words
+    _show_key = staticmethod(monomial_to_text)
 
 
 M_ZERO = MForm()
@@ -486,10 +486,6 @@ def enumerate_basis(max_mdegree: int, max_index: int) -> list[MWord]:
             slots.append(("lam", j, l))
     for i in range(1, max_index + 1):
         slots.append(("xp", i))
-    # Lambda pairs must come out in lexicographic order inside a word.
-    slots = ([s for s in slots if s[0] == "xm"]
-             + sorted((s for s in slots if s[0] == "lam"), key=lambda s: (s[1], s[2]))
-             + [s for s in slots if s[0] == "xp"])
 
     out: list[MWord] = []
 

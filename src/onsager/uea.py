@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 
 from . import caches
-from .lie import BasisElement, LieElement, LinComb, ZERO, ONE, bracket_basis
+from .lie import BasisElement, LieElement, LinComb, ZERO, ONE, basis_to_text, bracket_basis
 
 Word = tuple[BasisElement, ...]
 
@@ -35,15 +35,11 @@ class UEAElement(LinComb):
         """Support in graded-lexicographic order (length, then entries)."""
         return sorted(self.coeffs, key=lambda w: (len(w), w))
 
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for w in self.words():
-            c = self.coeffs[w]
-            body = "*".join(f"{b.kind.name.lower()}_{b.index}" for b in w) or "1"
-            parts.append(f"{c}*{body}")
-        return " + ".join(parts)
+    _ordered = words
+
+    @staticmethod
+    def _show_key(w: Word) -> str:
+        return "*".join(map(basis_to_text, w))
 
 
 UEA_ZERO = UEAElement()

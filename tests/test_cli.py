@@ -1,7 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onsager.cli import main
 from onsager.expr import (
@@ -10,23 +15,33 @@ from onsager.expr import (
     DomainError,
     ExprSyntaxError,
     Lit,
-    Mul,
-    Sub,
+    Product,
+    Sum,
+    as_lie,
     evaluate,
     parse,
-    to_text,
 )
-from onsager.uea import equal, pbw_normal_form
+from onsager.lie import h, xminus, xplus
+from onsager.straighten import (
+    XFactor,
+    duv_mform,
+    expand,
+    lfactor,
+    merge_lambda_pair,
+    monomial,
+    normalize_to_basis,
+)
+from onsager.uea import equal, from_lie, pbw_normal_form
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 def test_parse_product_minus():
-    ast = parse("2*xp(3)*xm(1) - h(2)")
-    assert isinstance(ast, Sub)
-    assert isinstance(ast.left, Mul)
-    assert ast.right == Call("h", (2,))
+    product = Product((Lit(Fraction(2)), Call("xp", (3,)), Call("xm", (1,))))
+    assert parse("2*xp(3)*xm(1) - h(2)") == Sum(((1, product), (-1, Call("h", (2,)))))
+    assert parse("-h(2)") == Sum(((-1, Call("h", (2,))),))
+    assert parse("(h(2))") == Call("h", (2,))
 
 
 def test_parse_divided_power():
@@ -35,9 +50,8 @@ def test_parse_divided_power():
 
 
 def test_parse_bracket_and_rationals():
-    ast = parse("[xp(2), xm(1)] + 3/2")
-    assert isinstance(ast.left, Bracket)
-    assert ast.right == Lit(__import__("fractions").Fraction(3, 2))
+    bracket = Bracket(Call("xp", (2,)), Call("xm", (1,)))
+    assert parse("[xp(2), xm(1)] + 3/2") == Sum(((1, bracket), (1, Lit(Fraction(3, 2)))))
 
 
 def test_parse_signed_calls():
@@ -56,14 +70,24 @@ def test_syntax_error_positions():
         parse("frob(1)")
     with pytest.raises(ExprSyntaxError):
         parse("xp(1) @ xm(1)")
+    with pytest.raises(ExprSyntaxError):
+        parse("1/0")
 
 
-def test_roundtrip_print_parse_print():
-    for text in ("2*xp(3)*xm(1) - h(2)", "dp(xp(1),3)", "-lam(2,1,2)",
-                 "[h(2), xp(1)]", "binom(h(0),2)*xm(1)", "1/2*h(4)",
-                 "d1(+,1,2,1) + duv(-,0,2,1,1)"):
-        once = to_text(parse(text))
-        assert to_text(parse(once)) == once
+def test_repr_parses_back():
+    for text in ("2*xp(3)*xm(1) - h(2)", "dp(xp(1),3)", "-lam(2,1,2)", "0", "-3/2",
+                 "[h(2), xp(1)]", "binom(h(0),2)*xm(1)", "1/2*h(4) + 3",
+                 "d1(+,1,2,1) + duv(-,0,2,1,1)", "dp(xm(2),2)*lam(2,1,2)*dp(xp(1),3)"):
+        nf = pbw_normal_form(evaluate(parse(text)))
+        assert evaluate(parse(repr(nf))) == nf, text
+    for a in (xplus(1), h(0) - xminus(2).scale(Fraction(3, 2)), xplus(-3) + h(4).scale(-2)):
+        assert as_lie(evaluate(parse(repr(a)))) == a
+    for m in (normalize_to_basis(monomial(XFactor(1, 1, 2), XFactor(-1, 1, 2))),
+              normalize_to_basis(monomial(XFactor(1, 2, 1), lfactor(2, 1, 1))),
+              duv_mform(1, 1, 2, 2, 1), duv_mform(-1, 2, 3, 1, 1),
+              merge_lambda_pair(2, 1, 1, 2), merge_lambda_pair(1, 1, 2, 2),
+              normalize_to_basis(monomial())):
+        assert pbw_normal_form(evaluate(parse(repr(m)))) == expand(m), repr(m)
 
 
 def test_evaluate_negative_order_lambda_is_zero():
@@ -199,10 +223,14 @@ def test_syntax_error_exit_code(capsys):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
     # inputs that nest beyond the interpreter stack: a message and exit 2
-    for expr in ("lam(1,1,1100)", "duv(+,0,1100,1,1)",
-                 "(" * 1200 + "h(1)" + ")" * 1200, "+".join(["h(1)"] * 3000)):
+    for expr in ("lam(1,1,1100)", "duv(+,0,1100,1,1)", "(" * 1200 + "h(1)" + ")" * 1200):
         assert main(["normalize", expr]) == 2
         assert capsys.readouterr().err == "error: input nests too deeply to evaluate\n"
+    # flat sums and products do not nest
+    assert main(["normalize", "+".join(["h(1)"] * 3000)]) == 0
+    assert capsys.readouterr().out == "3000*h(1)\n"
+    assert main(["normalize", "*".join(["h(1)"] * 3000)]) == 0
+    assert capsys.readouterr().out == "*".join(["h(1)"] * 3000) + "\n"
 
 
 def test_config_file_defaults(tmp_path, monkeypatch, capsys):
@@ -222,3 +250,77 @@ def test_config_file_malformed(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ONSAGER_CONFIG", str(cfg))
     assert main(["verify"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every input ends in a documented exit code, and printed normal
+# forms parse back.  Integers stay small (lam(1,1,900) alone runs for
+# minutes), and a product's factors carry at most three generators in all,
+# so one inserted "*" cannot make a minutes-long product either.
+
+_INDEX = st.integers(-3, 3)
+_ORDER = st.integers(0, 3)
+_SIGN = st.sampled_from("+-")
+
+
+def _call(name, *args):
+    return f"{name}({','.join(map(str, args))})"
+
+
+# (text, bound on the PBW degree of its value)
+_LEAVES = st.one_of(
+    st.builds(lambda n, j: (_call(n, j), 1), st.sampled_from(("xp", "xm", "h")), _INDEX),
+    st.builds(lambda j, l, k: (_call("lam", j, l, k), k), _INDEX, _INDEX, _ORDER),
+    st.builds(lambda u, j, l: (_call("p", u, j, l), 1), _ORDER, _INDEX, _INDEX),
+    st.builds(lambda s, u, j, l: (_call("d1", s, u, j, l), 1), _SIGN, _ORDER, _INDEX, _INDEX),
+    st.builds(lambda s, u, v, j, l: (_call("duv", s, u, v, j, l), v),
+              _SIGN, _ORDER, _ORDER, _INDEX, _INDEX),
+    st.builds(lambda s, u, j, k, m: (_call("dt", s, u, j, k, m), 1),
+              _SIGN, _ORDER, _INDEX, _INDEX, _INDEX),
+    st.builds(lambda n, d: (f"{n}/{d}", 0), _ORDER, _ORDER),
+    _ORDER.map(lambda n: (str(n), 0)),
+)
+
+_FORMS = ("+", "-", "*", "neg", "paren", "bracket", "dp", "binom")
+_EXTRA_TOKENS = ("+", "-", "*", "/", "(", ")", "[", "]", ",", "0", "2", "h", "lam", "dp", "@")
+
+
+@st.composite
+def _expressions(draw, depth=3):
+    if depth == 0 or draw(st.booleans()):
+        return draw(_LEAVES)
+    form = draw(st.sampled_from(_FORMS))
+    a, da = draw(_expressions(depth - 1))
+    if form == "neg":
+        return f"-{a}", da
+    if form == "paren":
+        return f"({a})", da
+    if form in ("dp", "binom"):
+        n = draw(_ORDER)
+        return _call(form, a, n), n
+    b, db = draw(_expressions(depth - 1))
+    if form == "bracket":
+        return f"[{a}, {b}]", 1
+    if form == "*" and da + db <= 3:
+        return f"{a}*{b}", da + db
+    return f"{a} {'-' if form == '-' else '+'} {b}", max(da, db)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_normalize_fuzz(data):
+    tokens = re.findall(r"\d+|\w+|\S", data.draw(_expressions())[0])
+    edit = data.draw(st.sampled_from(("keep", "insert", "delete")))
+    if edit == "insert":
+        tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(st.sampled_from(_EXTRA_TOKENS)))
+    elif edit == "delete":
+        del tokens[data.draw(st.integers(0, len(tokens) - 1))]
+    text = " ".join(tokens)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["normalize", "--", text])
+    assert rc in (0, 1, 2), text
+    if rc == 0:
+        assert evaluate(parse(out.getvalue())) == pbw_normal_form(evaluate(parse(text))), text
+    else:
+        assert err.getvalue() and not out.getvalue(), text
