@@ -31,7 +31,7 @@ from onsager.straighten import (
     monomial,
     normalize_to_basis,
 )
-from onsager.uea import equal, from_lie, pbw_normal_form
+from onsager.uea import equal, pbw_normal_form
 
 
 # ---------------------------------------------------------------------------
