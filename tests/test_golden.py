@@ -1,0 +1,28 @@
+"""Golden CLI corpus: exact stdout, stderr and exit code of fixed commands.
+
+``golden_cli.json`` lists argv lists with the exit code and the output
+bytes `onsager` gave for them; every command is run in-process and must
+reproduce both streams exactly, so a change in how any coefficient,
+element or report is printed shows up here.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from onsager.cli import main
+
+CORPUS = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=lambda case: " ".join(case["argv"]))
+def test_golden_cli(case, monkeypatch):
+    monkeypatch.delenv("ONSAGER_CONFIG", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to this width
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(case["argv"])
+    assert (code, out.getvalue(), err.getvalue()) == (case["exit"], case["stdout"], case["stderr"])
