@@ -44,7 +44,7 @@ class DomainError(ExprError):
 
 @dataclass(frozen=True)
 class Lit:
-    value: Fraction
+    value: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if c.isdigit():
+        if c in "0123456789":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in "0123456789":
                 j += 1
             tokens.append(_Token("int", text[i:j], line, col))
             col += j - i
@@ -187,7 +187,7 @@ class _Parser:
     def atom(self):
         t = self.take()
         if t.kind == "int":
-            value = Fraction(int(t.text))
+            value = int(t.text)
             if self.peek().text == "/":
                 self.take()
                 d = self.take()
@@ -195,7 +195,7 @@ class _Parser:
                     raise ExprSyntaxError("expected denominator", d.line, d.column)
                 if int(d.text) == 0:
                     raise ExprSyntaxError("zero denominator", d.line, d.column)
-                value /= int(d.text)
+                value = Fraction(value, int(d.text))
             return Lit(value)
         if t.text == "(":
             e = self.expr()
@@ -256,7 +256,7 @@ def as_lie(u: UEAElement) -> LieElement:
     for w, c in u.coeffs.items():
         if len(w) != 1:
             raise DomainError("expected a degree-one element")
-        coeffs[w[0]] = coeffs.get(w[0], Fraction(0)) + c
+        coeffs[w[0]] = coeffs.get(w[0], 0) + c
     return LieElement(coeffs)
 
 

@@ -10,11 +10,7 @@ assume canonical basis elements.
 from __future__ import annotations
 
 from enum import IntEnum
-from fractions import Fraction
 from typing import NamedTuple
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Kind(IntEnum):
@@ -45,7 +41,9 @@ class LinComb:
     store ``coeffs`` as a plain dict, with zero coefficients dropped at
     construction so that equal elements have equal dicts.  Arithmetic
     returns the operand's own subclass, and equality is type-exact, so
-    two kinds of element never compare equal by accident.
+    two kinds of element never compare equal by accident.  Coefficients
+    are used as they come: integers stay ``int`` and a ``Fraction``
+    enters only where some caller divides.
     """
 
     __slots__ = ("coeffs",)
@@ -78,7 +76,6 @@ class LinComb:
         return type(self)({k: -c for k, c in self.coeffs.items()})
 
     def scale(self, c):
-        c = Fraction(c)
         return type(self)({k: c * v for k, v in self.coeffs.items()})
 
     def __rmul__(self, c):
@@ -149,12 +146,12 @@ LIE_ZERO = LieElement()
 def generator(kind: Kind, index: int) -> LieElement:
     """Normalized single generator, for any integer index."""
     if kind == Kind.H:
-        return LieElement({BasisElement(Kind.H, abs(index)): ONE})
+        return LieElement({BasisElement(Kind.H, abs(index)): 1})
     if index == 0:
         return LIE_ZERO
     if index < 0:
-        return LieElement({BasisElement(kind, -index): -ONE})
-    return LieElement({BasisElement(kind, index): ONE})
+        return LieElement({BasisElement(kind, -index): -1})
+    return LieElement({BasisElement(kind, index): 1})
 
 
 def xplus(j: int) -> LieElement:
@@ -171,7 +168,7 @@ def h(k: int) -> LieElement:
 
 # Scale of the [h, x] structure constants.  The true value is 2; tests
 # corrupt this to exercise failure reporting in the verifier.
-_H_X_SCALE = Fraction(2)
+_H_X_SCALE = 2
 
 
 def bracket_basis(a: BasisElement, b: BasisElement) -> LieElement:
@@ -195,7 +192,7 @@ def bracket_basis(a: BasisElement, b: BasisElement) -> LieElement:
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
-    out: dict[BasisElement, Fraction] = {}
+    out: dict = {}
     for ba, ca in a.coeffs.items():
         for bb, cb in b.coeffs.items():
             term = bracket_basis(ba, bb)
@@ -203,13 +200,13 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
                 continue
             c = ca * cb
             for g, v in term.coeffs.items():
-                out[g] = out.get(g, ZERO) + c * v
+                out[g] = out.get(g, 0) + c * v
     return LieElement(out)
 
 
 def tau(a: LieElement) -> LieElement:
     """Flip automorphism: x+ <-> x-, h -> -h."""
-    out: dict[BasisElement, Fraction] = {}
+    out: dict = {}
     for b, c in a.coeffs.items():
         if b.kind == Kind.H:
             out[b] = -c

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-ONE = Fraction(1)
-
 Vector = dict  # key -> coefficient, zeros dropped
 Pivots = dict  # lead key -> (row with lead 1, {input position: coefficient})
 
@@ -62,13 +60,13 @@ def rref(vectors: list[Vector]) -> tuple[Pivots, list[Vector]]:
     kernel: list[Vector] = []
     for i, vec in enumerate(vectors):
         rest, used = _reduce(pivots, vec)
-        combo = {i: ONE}
+        combo = {i: 1}
         _add_multiple(combo, -1, used)
         if not rest:
             kernel.append(combo)
             continue
         lead = max(rest)
-        inv = ONE / rest[lead]
+        inv = Fraction(1, rest[lead])
         pivots[lead] = ({k: c * inv for k, c in rest.items()},
                         {k: c * inv for k, c in combo.items()})
     return pivots, kernel

@@ -61,9 +61,6 @@ class LaurentPoly(LinComb):
 
     __mul__ = LinComb.convolve
 
-    def scale(self, c: GaussianRational):
-        return LaurentPoly({e: c * v for e, v in self.coeffs.items()})
-
     def invert_t(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
         return LaurentPoly({-e: c for e, c in self.coeffs.items()})

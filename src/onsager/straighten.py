@@ -12,8 +12,8 @@ basis at a finite truncation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 from . import caches, linalg
@@ -28,9 +28,6 @@ from .uea import (
     rewrite,
 )
 from .elements import binom, d1_closed, d_triple, exponent_tuples, lambda_rec
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class NoLambdaExpression(Exception):
@@ -136,11 +133,11 @@ class MForm(LinComb):
 
 
 M_ZERO = MForm()
-M_ONE = MForm({(): ONE})
+M_ONE = MForm({(): 1})
 
 
 def monomial(*factors: Factor) -> MForm:
-    return MForm({tuple(factors): ONE})
+    return MForm({tuple(factors): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +204,21 @@ def divided_x(a: LieElement, v: int) -> MForm:
     else:
         raise ValueError("divided_x needs a one-sided x combination")
     support = sorted(support, key=lambda b: b.index)
-    out: dict[MWord, Fraction] = {}
+    out: dict = {}
 
-    def go(pos: int, remaining: int, coeff: Fraction, word: list) -> None:
+    def go(pos: int, remaining: int, coeff, word: list) -> None:
         if pos == len(support) - 1:
             b = support[pos]
             c = coeff * a.coeffs[b] ** remaining
             w = tuple(word + ([XFactor(sign, b.index, remaining)] if remaining else []))
-            out[w] = out.get(w, ZERO) + c
+            out[w] = out.get(w, 0) + c
             return
         b = support[pos]
         for k in range(remaining + 1):
             nxt = word + ([XFactor(sign, b.index, k)] if k else [])
             go(pos + 1, remaining - k, coeff * a.coeffs[b] ** k, nxt)
 
-    go(0, v, ONE, [])
+    go(0, v, 1, [])
     return MForm(out)
 
 
@@ -310,7 +307,7 @@ def move_x_past_lambda(side: str, x_index: int, r: int,
                 if vu == 0:
                     continue
                 block = divided_x(d_triple(sign, u, x_index, k, m), vu)
-                term = term * block.scale(Fraction(u + 1) ** vu)
+                term = term * block.scale((u + 1) ** vu)
                 if term.is_zero:
                     break
             inner = inner + term
@@ -340,39 +337,25 @@ def move_x_past_lambda(side: str, x_index: int, r: int,
 _MERGE_CACHE: dict = caches.register({})
 
 
-def _y_coordinates(component: dict) -> dict[tuple, Fraction]:
+def _y_coordinates(component: dict) -> dict:
     """Homogeneous h-polynomial -> ordinary monomial coords in the Y_i.
 
     Input maps sorted h-index tuples to coefficients.  Substitutes
     h_i = h_parity + Y_i + Y_{i-2} + ... and expands; raises
     NoLambdaExpression if any h_0/h_1 content survives.
     """
-    coords: dict[tuple, Fraction] = {}
-    leftovers: dict[tuple, Fraction] = {}
+    coords: dict = {}
+    leftovers: dict = {}  # (base indices, Y's) -> coefficient
     for word, c in component.items():
-        # each letter h_i expands into a sum over {base} + chain Y's
-        options = []
-        for i in word:
-            opt = [(0, i % 2)]  # (0, parity) marks the h_0 / h_1 base term
-            opt.extend((1, t) for t in range(i, 1, -2))
-            options.append(opt)
-
-        def go(pos: int, ys: list, nbase: int, coeff: Fraction) -> None:
-            if pos == len(options):
-                if nbase:
-                    key = (nbase, tuple(sorted(ys)))
-                    leftovers[key] = leftovers.get(key, ZERO) + coeff
-                else:
-                    key = tuple(sorted(ys))
-                    coords[key] = coords.get(key, ZERO) + coeff
-                return
-            for tag, t in options[pos]:
-                if tag:
-                    go(pos + 1, ys + [t], nbase, coeff)
-                else:
-                    go(pos + 1, ys, nbase + 1, coeff)
-
-        go(0, [], 0, c)
+        # each letter h_i is its base h_0 / h_1, marked (0, parity), or a chain Y
+        options = [[(0, i % 2)] + [(1, t) for t in range(i, 1, -2)] for i in word]
+        for choice in itertools.product(*options):
+            base = tuple(sorted(t for tag, t in choice if not tag))
+            ys = tuple(sorted(t for tag, t in choice if tag))
+            if base:
+                leftovers[base, ys] = leftovers.get((base, ys), 0) + c
+            else:
+                coords[ys] = coords.get(ys, 0) + c
     bad = {k: v for k, v in leftovers.items() if v != 0}
     if bad:
         raise NoLambdaExpression(f"h_0/h_1 content in correction: {bad}")
@@ -384,21 +367,21 @@ def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
     got = _MERGE_CACHE.get(key)
     if got is not None:
         return got
-    lead_coeff = Fraction(binom(k + m, k))
+    lead_coeff = binom(k + m, k)
     remainder = (pbw_normal_form(multiply(lambda_rec(j, l, k), lambda_rec(j, l, m)))
                  - lambda_rec(j, l, k + m).scale(lead_coeff))
-    corr: dict[MWord, Fraction] = {}
+    corr: dict = {}
     while not remainder.is_zero:
         d = max(len(w) for w in remainder.coeffs)
         if d == 0:
             c0 = remainder.coeffs[()]
             if c0.denominator != 1:
                 raise NoLambdaExpression(f"non-integral constant term {c0}")
-            corr[()] = corr.get((), ZERO) + c0
+            corr[()] = corr.get((), 0) + c0
             break
         component = {tuple(b.index for b in w): c
                      for w, c in remainder.coeffs.items() if len(w) == d}
-        picked: dict[MWord, Fraction] = {}
+        picked: dict = {}
         for ys, c in _y_coordinates(component).items():
             mult: dict[int, int] = {}
             for t in ys:
@@ -413,9 +396,9 @@ def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
                     f"orders ({k},{m}) on pair ({j},{l})")
             word = tuple(LFactor(t - 1, 1, q) for t, q in sorted(mult.items()))
             coeff = c_div if d % 2 == 0 else -c_div
-            picked[word] = picked.get(word, ZERO) + coeff
+            picked[word] = picked.get(word, 0) + coeff
         for word, c in picked.items():
-            corr[word] = corr.get(word, ZERO) + c
+            corr[word] = corr.get(word, 0) + c
             remainder = remainder - expand_word(word).scale(c)
     out = monomial(lfactor(j, l, k + m)).scale(lead_coeff) + MForm(corr)
     _MERGE_CACHE[key] = out
@@ -459,10 +442,10 @@ def normalize_to_basis(m: MForm) -> MForm:
     rewriting terminates.
     """
     memo: dict = {}
-    result: dict[MWord, Fraction] = {}
+    result: dict = {}
     for word, coeff in m.items():
         for w, c in rewrite(word, _out_of_order, _rewrite_pair, memo).items():
-            result[w] = result.get(w, ZERO) + coeff * c
+            result[w] = result.get(w, 0) + coeff * c
     return MForm(result)
 
 
@@ -518,7 +501,7 @@ def _within_bounds(word: MWord, max_mdegree: int, max_index: int) -> bool:
     return True
 
 
-def coordinates(a: UEAElement, max_mdegree: int, max_index: int) -> dict[MWord, Fraction]:
+def coordinates(a: UEAElement, max_mdegree: int, max_index: int) -> dict:
     """Exact coordinates of a against the enumerated monomials.
 
     Writes the target's PBW normal form as a combination of the
@@ -539,7 +522,7 @@ def coordinates(a: UEAElement, max_mdegree: int, max_index: int) -> dict[MWord, 
     return coords
 
 
-def mform_coordinates(m: MForm, max_mdegree: int, max_index: int) -> dict[MWord, Fraction]:
+def mform_coordinates(m: MForm, max_mdegree: int, max_index: int) -> dict:
     """Coordinates of a factor product, computed by rewriting.
 
     This is the constructive route: normalize and read the coefficients
@@ -556,7 +539,7 @@ def mform_coordinates(m: MForm, max_mdegree: int, max_index: int) -> dict[MWord,
 
 
 def integrality_check(m: UEAElement | MForm, max_mdegree: int,
-                      max_index: int) -> tuple[bool, dict[MWord, Fraction]]:
+                      max_index: int) -> tuple[bool, dict]:
     """Whether the coordinates exist and are all integers.
 
     Returns the verdict together with the offending (non-integral)

@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 
 from . import caches
-from .lie import BasisElement, LieElement, LinComb, ZERO, ONE, basis_to_text, bracket_basis
+from .lie import BasisElement, LieElement, LinComb, basis_to_text, bracket_basis
 
 Word = tuple[BasisElement, ...]
 
@@ -43,7 +43,7 @@ class UEAElement(LinComb):
 
 
 UEA_ZERO = UEAElement()
-UEA_ONE = UEAElement({(): ONE})
+UEA_ONE = UEAElement({(): 1})
 
 
 def from_lie(a: LieElement) -> UEAElement:
@@ -85,7 +85,7 @@ def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict
             if bad(w[i], w[i + 1]):
                 break
         else:
-            memo[w] = {w: ONE}
+            memo[w] = {w: 1}
             continue
         head, tail = w[:i], w[i + 2:]
         pieces = pending[w] = [(head + mid + tail, c) for mid, c in rule(w[i], w[i + 1]).items()]
@@ -94,12 +94,12 @@ def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict
     return memo[word]
 
 
-_NF_CACHE: dict[Word, dict[Word, Fraction]] = caches.register({})
+_NF_CACHE: dict[Word, dict[Word, int]] = caches.register({})
 
 
 def _swap(a: BasisElement, b: BasisElement) -> dict:
     """ab = ba + [a,b]."""
-    return {(b, a): ONE, **{(g,): c for g, c in bracket_basis(a, b).items()}}
+    return {(b, a): 1, **{(g,): c for g, c in bracket_basis(a, b).items()}}
 
 
 def pbw_normal_form(a: UEAElement, strategy: str = "leftmost") -> UEAElement:
@@ -107,10 +107,10 @@ def pbw_normal_form(a: UEAElement, strategy: str = "leftmost") -> UEAElement:
         raise ValueError(f"unknown strategy {strategy!r}")
     rightmost = strategy == "rightmost"
     memo = {} if rightmost else _NF_CACHE  # the oracle route shares no entries
-    out: dict[Word, Fraction] = {}
+    out: dict = {}
     for w, c in a.coeffs.items():
         for ww, cc in rewrite(w, operator.gt, _swap, memo, rightmost).items():
-            out[ww] = out.get(ww, ZERO) + c * cc
+            out[ww] = out.get(ww, 0) + c * cc
     return UEAElement(out)
 
 
@@ -147,9 +147,9 @@ def binomial(a: UEAElement | LieElement, k: int) -> UEAElement:
 def commutative_multiply(a: UEAElement, b: UEAElement) -> UEAElement:
     """Product with eager sorting; only valid when all letters commute
     (h-only elements, or x-elements of a single sign)."""
-    out: dict[Word, Fraction] = {}
+    out: dict = {}
     for wa, ca in a.coeffs.items():
         for wb, cb in b.coeffs.items():
             w = tuple(sorted(wa + wb))
-            out[w] = out.get(w, ZERO) + ca * cb
+            out[w] = out.get(w, 0) + ca * cb
     return UEAElement(out)

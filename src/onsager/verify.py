@@ -10,7 +10,6 @@ triangularity) and report findings rather than assuming them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 import time
 
 from . import linalg, loop
@@ -55,9 +54,6 @@ from .straighten import (
     normalize_to_basis,
     straighten_plus_minus,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass
@@ -142,7 +138,7 @@ def _chk_I6(p) -> Check:
     x = xplus(p["j"]) if p["sign"] > 0 else xminus(p["j"])
     r, s = p["r"], p["s"]
     lhs = multiply(divided_power(x, r), divided_power(x, s))
-    rhs = divided_power(x, r + s).scale(Fraction(binom(r + s, s)))
+    rhs = divided_power(x, r + s).scale(binom(r + s, s))
     return _eq_u(lhs, rhs)
 
 
@@ -217,7 +213,7 @@ def _chk_XJLN(p) -> Check:
             for s in range(i + 1):
                 c = (-1) ** (r + s) * (i + 1) * binom(i, r) * binom(i, s)
                 tail = from_lie(xplus(j + (i - 2 * r) * k + (i - 2 * s) * m))
-                rhs = rhs + multiply(lambda_rec(k, m, n - i), tail).scale(Fraction(c))
+                rhs = rhs + multiply(lambda_rec(k, m, n - i), tail).scale(c)
     return _eq_u(lhs, rhs)
 
 
@@ -317,11 +313,11 @@ def _gen_BXP(c: SuiteConfig):
 def _chk_BXP(p) -> Check:
     i, j, k, m = p["i"], p["j"], p["k"], p["m"]
     ok1, ce1 = _eq_lie(bracket(xplus(j), p_def(i, k, m)),
-                       d_triple(1, i, j, k, m).scale(Fraction(-2)))
+                       d_triple(1, i, j, k, m).scale(-2))
     if not ok1:
         return ok1, ce1
     return _eq_lie(bracket(p_def(i, k, m), xminus(j)),
-                   d_triple(-1, i, j, k, m).scale(Fraction(-2)))
+                   d_triple(-1, i, j, k, m).scale(-2))
 
 
 def _gen_BPD(c: SuiteConfig):
@@ -334,7 +330,7 @@ def _gen_BPD(c: SuiteConfig):
 def _chk_BPD(p) -> Check:
     m, u, j, l = p["m"], p["u"], p["j"], p["l"]
     lhs = bracket(p_def(m, j, l), d1_closed(1, u, j, l))
-    return _eq_lie(lhs, d1_closed(1, m + u, j, l).scale(Fraction(2)))
+    return _eq_lie(lhs, d1_closed(1, m + u, j, l).scale(2))
 
 
 def _gen_DU1L(c: SuiteConfig):
@@ -350,7 +346,7 @@ def _chk_DU1L(p) -> Check:
     rhs = UEA_ZERO
     for i in range(n + 1):
         term = multiply(lambda_rec(j, l, n - i), from_lie(d1_closed(1, i + u, j, l)))
-        rhs = rhs + term.scale(Fraction(i + 1))
+        rhs = rhs + term.scale(i + 1)
     return _eq_u(lhs, rhs)
 
 
@@ -366,7 +362,7 @@ def _chk_LDP(p) -> Check:
     lhs = multiply(lambda_rec(j, l, i), from_lie(d1_closed(1, k, j, l)))
     rhs = (multiply(from_lie(d1_closed(1, k, j, l)), lambda_rec(j, l, i))
            + multiply(from_lie(d1_closed(1, k + 1, j, l)),
-                      lambda_rec(j, l, i - 1)).scale(Fraction(-2))
+                      lambda_rec(j, l, i - 1)).scale(-2)
            + multiply(from_lie(d1_closed(1, k + 2, j, l)), lambda_rec(j, l, i - 2)))
     return _eq_u(lhs, rhs)
 
@@ -385,13 +381,13 @@ def _chk_UD(p) -> Check:
     rhs2 = UEA_ZERO
     for i in range(u + 1):
         t = multiply(from_lie(d1_closed(sg, i, j, l)), duv_rec(sg, u - i, v - 1, j, l))
-        rhs1 = rhs1 + t.scale(Fraction(i))
-        rhs2 = rhs2 + t.scale(Fraction(i + 1))
+        rhs1 = rhs1 + t.scale(i)
+        rhs2 = rhs2 + t.scale(i + 1)
     base = duv_rec(sg, u, v, j, l)
-    ok1, ce1 = _eq_u(base.scale(Fraction(u)), rhs1)
+    ok1, ce1 = _eq_u(base.scale(u), rhs1)
     if not ok1:
         return ok1, ce1
-    return _eq_u(base.scale(Fraction(u + v)), rhs2)
+    return _eq_u(base.scale(u + v), rhs2)
 
 
 def _gen_LDXM(c: SuiteConfig):
@@ -410,13 +406,13 @@ def _chk_LDXM(p) -> Check:
     rhs = UEA_ZERO
     for u in range(n + 2):
         rhs = rhs + multiply(lambda_rec(j, l, n + 1 - u),
-                             duv_rec(1, u, v - 1, j, l)).scale(Fraction(-(n + 1)))
+                             duv_rec(1, u, v - 1, j, l)).scale(-(n + 1))
     for m in range(n + 1):
         for k in range(n - m + 1):
             term = multiply(multiply(from_lie(d1_closed(-1, m, j, l)),
                                      lambda_rec(j, l, n - m - k)),
                             duv_rec(1, k, v, j, l))
-            rhs = rhs + term.scale(Fraction(m + 1))
+            rhs = rhs + term.scale(m + 1)
     return _eq_u(lhs, rhs)
 
 
@@ -435,7 +431,7 @@ def _chk_LL(p) -> Check:
     except NoLambdaExpression:
         return False, (product, UEA_ZERO)
     lead = (lfactor(j, l, k + m),)
-    if out.coeffs.get(lead, ZERO) != binom(k + m, k):
+    if out.coeffs.get(lead, 0) != binom(k + m, k):
         return False, (expand(out), product)
     for w, coeff in out.coeffs.items():
         if coeff.denominator != 1:

@@ -60,10 +60,18 @@ def test_parse_signed_calls():
     parse("dt(+,1,1,2,2)")
 
 
-def test_syntax_error_positions():
+def test_syntax_error_positions(capsys):
     with pytest.raises(ExprSyntaxError) as exc:
         parse("xp(1) +")
     assert exc.value.line == 1
+    # only ASCII digits are digits: a superscript two or an Arabic-Indic one
+    # is an unexpected character at its own position
+    for text in ("h(\u00b2)", "h(\u0661)"):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == (1, 3)
+        assert main(["normalize", text]) == 2
+        assert capsys.readouterr().err.startswith("syntax error: 1:3: unexpected character")
     with pytest.raises(ExprSyntaxError):
         parse("xp(1,2)")
     with pytest.raises(ExprSyntaxError):

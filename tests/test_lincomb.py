@@ -54,6 +54,12 @@ def test_equal_coefficient_dicts_in_different_types_differ():
     assert LieElement({XP1: Fraction(1)}) != UEAElement({XP1: Fraction(1)})
 
 
+def test_laurent_poly_scales_termwise_by_a_gaussian_rational():
+    p = LaurentPoly({-2: gr(1, 2), 0: GR1, 3: gr(0, -1)})
+    c = gr(Fraction(1, 2), 3)
+    assert p.scale(c) == LaurentPoly({-2: c * gr(1, 2), 0: c, 3: c * gr(0, -1)})
+
+
 def test_gaussian_zero_is_falsy_and_cancels_in_laurent_poly():
     assert not GaussianRational()
     assert gr(0, 1) and gr(1, 0)

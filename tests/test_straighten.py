@@ -11,6 +11,7 @@ from onsager.straighten import (
     AmbiguousSolution,
     LFactor,
     MForm,
+    NoLambdaExpression,
     OutOfTruncation,
     XFactor,
     coordinates,
@@ -26,6 +27,7 @@ from onsager.straighten import (
     normalize_to_basis,
     straighten_plus_minus,
     straighten_same_x,
+    _y_coordinates,
 )
 
 
@@ -94,6 +96,14 @@ def test_merge_lambda_pair_leading_term():
                 product = multiply(lambda_rec(j, l, k), lambda_rec(j, l, m))
                 assert equal(pbw_normal_form(expand(out)),
                              pbw_normal_form(product))
+
+
+def test_y_coordinates_keeps_h0_and_h1_apart():
+    # h_2 - h_0 is the chain element Y_2
+    assert _y_coordinates({(2,): 1, (0,): -1}) == {(2,): 1}
+    # h_0 - h_1 is all base content: the two bases must not cancel
+    with pytest.raises(NoLambdaExpression):
+        _y_coordinates({(0,): 1, (1,): -1})
 
 
 def test_merge_small_case_exact():

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 import onsager.lie as lie
-from onsager import caches
+from onsager import caches, uea
+from onsager.lie import LinComb
 from onsager.verify import (
     CATALOG,
     SuiteConfig,
@@ -64,6 +65,25 @@ def test_report_order_independent_of_jobs():
     r4 = run_suite(cfg4)
     assert [(r.tag, r.params, r.passed) for r in r1.results] == \
            [(r.tag, r.params, r.passed) for r in r4.results]
+
+
+def _cached_coefficients(value):
+    # cache entries are elements, or raw {word: coefficient} normal forms
+    return value.coeffs.values() if isinstance(value, LinComb) else value.values()
+
+
+def test_cached_coefficients_are_exact():
+    caches.clear_all()
+    run_suite(SuiteConfig(max_index=2, max_order=2))
+    # the bracket table has integer constants, so word normal forms do too
+    assert uea._NF_CACHE
+    for nf in uea._NF_CACHE.values():
+        assert all(type(c) is int for c in nf.values())
+    # elsewhere a division may bring in a Fraction, but nothing is ever a float
+    for cache in caches._REGISTRY:
+        assert cache
+        for value in cache.values():
+            assert all(isinstance(c, (int, Fraction)) for c in _cached_coefficients(value))
 
 
 def test_corruption_makes_i7_fail(corrupted_bracket):
