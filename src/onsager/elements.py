@@ -9,7 +9,6 @@ suite hold the paths against each other exactly.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import caches
 from .lie import LIE_ZERO, LieElement, bracket, h, xminus, xplus
@@ -52,7 +51,7 @@ def d1_rec(sign: int, u: int, j: int, l: int) -> LieElement:
             _D1_CACHE[key] = xplus(j) if sign > 0 else xminus(l)
         else:
             prev = d1_rec(sign, u - 1, j, l)
-            val = bracket(prev, lambda1(j, l)).scale(Fraction(sign, 2))
+            val = bracket(prev, lambda1(j, l)).scale(sign).divide(2)
             _D1_CACHE[key] = val
     return _D1_CACHE[key]
 
@@ -128,7 +127,7 @@ def lambda_rec(j: int, l: int, k: int) -> UEAElement:
             acc = acc + commutative_multiply(
                 from_lie(p_def(i, j, l)), lambda_rec(j, l, k - i)
             )
-        _LAMBDA_CACHE[key] = acc.scale(Fraction(-1, k))
+        _LAMBDA_CACHE[key] = (-acc).divide(k)
     return _LAMBDA_CACHE[key]
 
 
@@ -138,7 +137,7 @@ def lambda_series(j: int, l: int, k: int) -> UEAElement:
         return UEA_ZERO
     # inner[s] = coefficient of u^s in -sum p_s u^s / s
     inner = [UEA_ZERO] + [
-        from_lie(p_def(s, j, l)).scale(Fraction(-1, s)) for s in range(1, k + 1)
+        (-from_lie(p_def(s, j, l))).divide(s) for s in range(1, k + 1)
     ]
     # exp, truncated to degree k
     result = [UEA_ONE] + [UEA_ZERO] * k
@@ -152,7 +151,7 @@ def lambda_series(j: int, l: int, k: int) -> UEAElement:
                 if inner[d2].is_zero:
                     continue
                 new[d1 + d2] = new[d1 + d2] + commutative_multiply(term[d1], inner[d2])
-        term = [e.scale(Fraction(1, m)) for e in new]
+        term = [e.divide(m) for e in new]
         for d in range(k + 1):
             result[d] = result[d] + term[d]
     return result[k]
@@ -174,7 +173,7 @@ def duv_rec(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
             acc = acc + multiply(
                 from_lie(d1_rec(sign, i, j, l)), duv_rec(sign, u - i, v - 1, j, l)
             )
-        _DUV_CACHE[key] = acc.scale(Fraction(1, v))
+        _DUV_CACHE[key] = acc.divide(v)
     return _DUV_CACHE[key]
 
 
@@ -241,7 +240,7 @@ def duv_series(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
                     continue
                 new[d1 + d2] = new[d1 + d2] + multiply(acc[d1], poly[d2])
         acc = new
-    return acc[top].scale(Fraction(1, math.factorial(v)))
+    return acc[top].divide(math.factorial(v))
 
 
 def d_triple(sign: int, u: int, j: int, k: int, m: int) -> LieElement:

@@ -10,6 +10,7 @@ assume canonical basis elements.
 from __future__ import annotations
 
 from enum import IntEnum
+from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -42,8 +43,9 @@ class LinComb:
     construction so that equal elements have equal dicts.  Arithmetic
     returns the operand's own subclass, and equality is type-exact, so
     two kinds of element never compare equal by accident.  Coefficients
-    are used as they come: integers stay ``int`` and a ``Fraction``
-    enters only where some caller divides.
+    are used as they come: integers stay ``int``, and a ``Fraction``
+    enters only through :meth:`divide`, which hands an integral quotient
+    back as an ``int``.
     """
 
     __slots__ = ("coeffs",)
@@ -80,6 +82,18 @@ class LinComb:
 
     def __rmul__(self, c):
         return self.scale(c)
+
+    def divide(self, d: int):
+        """Exact quotient by a nonzero ``int``: each coefficient becomes
+        ``Fraction(v, d)``, or its plain numerator when the denominator
+        is 1."""
+        if not d:
+            raise ZeroDivisionError("division of a combination by zero")
+        out = {}
+        for k, v in self.coeffs.items():
+            q = Fraction(v, d)
+            out[k] = q.numerator if q.denominator == 1 else q
+        return type(self)(out)
 
     def convolve(self, other):
         """Keyed product: keys combine by ``+`` (tuples concatenate,

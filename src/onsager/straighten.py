@@ -21,7 +21,6 @@ from .lie import Kind, LieElement, LinComb, xminus, xplus
 from .uea import (
     UEAElement,
     UEA_ONE,
-    UEA_ZERO,
     divided_power,
     multiply,
     pbw_normal_form,
@@ -173,10 +172,11 @@ def expand_word(w: MWord) -> UEAElement:
 
 
 def expand(m: MForm) -> UEAElement:
-    out = UEA_ZERO
+    out: dict = {}
     for w, c in m.items():
-        out = out + expand_word(w).scale(c)
-    return out
+        for ww, cc in expand_word(w).items():
+            out[ww] = out.get(ww, 0) + c * cc
+    return UEAElement(out)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,7 @@ def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
             c0 = remainder.coeffs[()]
             if c0.denominator != 1:
                 raise NoLambdaExpression(f"non-integral constant term {c0}")
-            corr[()] = corr.get((), 0) + c0
+            corr[()] = corr.get((), 0) + c0.numerator
             break
         component = {tuple(b.index for b in w): c
                      for w, c in remainder.coeffs.items() if len(w) == d}
@@ -395,7 +395,7 @@ def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
                     f"non-integral Y-coordinate {c_div} at {ys} merging "
                     f"orders ({k},{m}) on pair ({j},{l})")
             word = tuple(LFactor(t - 1, 1, q) for t, q in sorted(mult.items()))
-            coeff = c_div if d % 2 == 0 else -c_div
+            coeff = c_div.numerator if d % 2 == 0 else -c_div.numerator
             picked[word] = picked.get(word, 0) + coeff
         for word, c in picked.items():
             corr[word] = corr.get(word, 0) + c

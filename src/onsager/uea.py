@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 from . import caches
 from .lie import BasisElement, LieElement, LinComb, basis_to_text, bracket_basis
@@ -107,11 +106,14 @@ def pbw_normal_form(a: UEAElement, strategy: str = "leftmost") -> UEAElement:
         raise ValueError(f"unknown strategy {strategy!r}")
     rightmost = strategy == "rightmost"
     memo = {} if rightmost else _NF_CACHE  # the oracle route shares no entries
+    # word normal forms are integral: sum in ints over one common denominator
+    den = math.lcm(*(c.denominator for c in a.coeffs.values()))
     out: dict = {}
     for w, c in a.coeffs.items():
+        n = c.numerator * (den // c.denominator)
         for ww, cc in rewrite(w, operator.gt, _swap, memo, rightmost).items():
-            out[ww] = out.get(ww, 0) + c * cc
-    return UEAElement(out)
+            out[ww] = out.get(ww, 0) + n * cc
+    return UEAElement(out).divide(den)
 
 
 def equal(a: UEAElement, b: UEAElement) -> bool:
@@ -130,7 +132,7 @@ def divided_power(a: UEAElement | LieElement, k: int) -> UEAElement:
         a = from_lie(a)
     if k < 0:
         return UEA_ZERO
-    return power(a, k).scale(Fraction(1, math.factorial(k)))
+    return power(a, k).divide(math.factorial(k))
 
 
 def binomial(a: UEAElement | LieElement, k: int) -> UEAElement:
@@ -141,7 +143,7 @@ def binomial(a: UEAElement | LieElement, k: int) -> UEAElement:
     out = UEA_ONE
     for i in range(k):
         out = multiply(out, a - UEA_ONE.scale(i))
-    return out.scale(Fraction(1, math.factorial(k)))
+    return out.divide(math.factorial(k))
 
 
 def commutative_multiply(a: UEAElement, b: UEAElement) -> UEAElement:

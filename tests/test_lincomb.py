@@ -54,6 +54,24 @@ def test_equal_coefficient_dicts_in_different_types_differ():
     assert LieElement({XP1: Fraction(1)}) != UEAElement({XP1: Fraction(1)})
 
 
+@pytest.mark.parametrize("name", ["lie", "uea", "mform"])
+def test_divide_is_exact_and_hands_integral_quotients_back_as_int(name):
+    cls, k1, k2 = CASES[name][:3]
+    q = cls({k1: 6, k2: -4}).divide(2)
+    assert type(q) is cls and q.coeffs == {k1: 3, k2: -2}
+    assert all(type(c) is int for c in q.coeffs.values())
+    q = cls({k1: 6, k2: 1}).divide(4)
+    assert q.coeffs == {k1: Fraction(3, 2), k2: Fraction(1, 4)}
+    assert all(type(c) is Fraction for c in q.coeffs.values())
+    # a Fraction coefficient divides exactly, and back to an int when whole
+    q = cls({k1: Fraction(4, 3), k2: Fraction(6)}).divide(-2)
+    assert q.coeffs == {k1: Fraction(-2, 3), k2: -3}
+    assert type(q.coeffs[k1]) is Fraction and type(q.coeffs[k2]) is int
+    for x in (cls({k1: 1}), cls()):
+        with pytest.raises(ZeroDivisionError):
+            x.divide(0)
+
+
 def test_laurent_poly_scales_termwise_by_a_gaussian_rational():
     p = LaurentPoly({-2: gr(1, 2), 0: GR1, 3: gr(0, -1)})
     c = gr(Fraction(1, 2), 3)

@@ -123,6 +123,29 @@ def test_normal_form_linear(j, l, k):
     assert equal(lhs, rhs)
 
 
+# canonical letters: h from index 0, the x's from index 1
+LETTERS = st.builds(lambda kind, i: BasisElement(kind, i if kind == Kind.H else i + 1),
+                    st.sampled_from(list(Kind)), st.integers(0, 2))
+MIXED = st.dictionaries(st.lists(LETTERS, max_size=4).map(tuple),
+                        st.sampled_from([1, -2, 3, Fraction(1, 2), Fraction(-1, 3),
+                                         Fraction(5, 6)]),
+                        max_size=4)
+
+
+@given(MIXED)
+@settings(deadline=None)
+def test_normal_form_over_mixed_denominators_is_termwise(coeffs):
+    a = UEAElement(coeffs)
+    for strategy in ("leftmost", "rightmost"):
+        nf = pbw_normal_form(a, strategy)
+        termwise = UEA_ZERO
+        for w, c in a.items():
+            termwise = termwise + pbw_normal_form(UEAElement({w: 1}), strategy).scale(c)
+        assert nf == termwise
+        for c in nf.coeffs.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
 def test_deep_descent_both_strategies():
     # 1225 swaps deep: a recursive descent exhausts the interpreter stack
     letters = tuple(BasisElement(Kind.XPLUS, j) for j in range(50, 0, -1))

@@ -79,11 +79,13 @@ def test_cached_coefficients_are_exact():
     assert uea._NF_CACHE
     for nf in uea._NF_CACHE.values():
         assert all(type(c) is int for c in nf.values())
-    # elsewhere a division may bring in a Fraction, but nothing is ever a float
+    # elsewhere a division may bring in a Fraction, but an integral value
+    # is an int, never a Fraction with denominator 1, and nothing is a float
     for cache in caches._REGISTRY:
         assert cache
         for value in cache.values():
-            assert all(isinstance(c, (int, Fraction)) for c in _cached_coefficients(value))
+            for c in _cached_coefficients(value):
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
 
 
 def test_corruption_makes_i7_fail(corrupted_bracket):
