@@ -1,4 +1,5 @@
 from fractions import Fraction
+import hashlib
 
 import pytest
 
@@ -65,6 +66,17 @@ def test_report_order_independent_of_jobs():
     r4 = run_suite(cfg4)
     assert [(r.tag, r.params, r.passed) for r in r1.results] == \
            [(r.tag, r.params, r.passed) for r in r4.results]
+
+
+def test_instance_sequence_is_pinned():
+    # instance order and each params dict's key order are report bytes
+    # (the text output of `verify` prints params in dict order)
+    rows = [(i, o, r.tag, tuple(r.params.items()))
+            for i, o in ((1, 1), (2, 1), (1, 3), (2, 2))
+            for r in run_suite(SuiteConfig(max_index=i, max_order=o)).results]
+    assert len(rows) == 1451
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "47674f79a7d900ba69648ab0c51637b8bc1d545d032172d8d8e1c12b0c88cb02"
 
 
 def _cached_coefficients(value):
