@@ -195,7 +195,8 @@ class _Parser:
                     raise ExprSyntaxError("expected denominator", d.line, d.column)
                 if int(d.text) == 0:
                     raise ExprSyntaxError("zero denominator", d.line, d.column)
-                value = Fraction(value, int(d.text))
+                q = Fraction(value, int(d.text))
+                value = q.numerator if q.denominator == 1 else q
             return Lit(value)
         if t.text == "(":
             e = self.expr()

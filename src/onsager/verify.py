@@ -1,19 +1,22 @@
 """Identity catalog and structural audits.
 
-Every named identity of the construction is a tagged, parameterized
-check evaluated by exact expansion to PBW normal form.  Failures are
-report content carrying both sides of the offending instance; they are
-never raised.  The audits quantify structural facts (spans, ranks,
+Every named identity of the construction is a tagged check taking its
+parameters as keyword arguments, evaluated by exact expansion to PBW
+normal form.  One grid table gives each tag the axes its parameters run
+over.  Failures are report content carrying both sides of the offending
+instance; they are never raised.  The audits quantify structural facts (spans, ranks,
 triangularity) and report findings rather than assuming them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import inspect
+import itertools
 import time
 
 from . import linalg, loop
-from .lie import LieElement, bracket, h, xminus, xplus
+from .lie import LieElement, bracket, generator, h, xminus, xplus
 from .uea import (
     UEAElement,
     UEA_ZERO,
@@ -100,112 +103,47 @@ def _eq_lie(lhs: LieElement, rhs: LieElement) -> Check:
     return False, (from_lie(lhs), from_lie(rhs))
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(j, l) for j in range(1, n + 1) for l in range(1, n + 1)]
-
-
-def _canonical_pairs(n: int) -> list[tuple[int, int]]:
-    return [(j, l) for j in range(1, n + 1) for l in range(1, j + 1)]
-
-
 # ---------------------------------------------------------------------------
-# The catalog.  Each entry is a generator of parameter dicts and a check
-# taking one such dict.
+# The catalog.  Each tag has a check taking its parameters as keyword
+# arguments, and a row of the grid table below naming the values they
+# run over.
 
-def _gen_I5(c: SuiteConfig):
-    for (j, l) in _canonical_pairs(c.max_index):
-        for (k, m) in _canonical_pairs(c.max_index):
-            for r in range(1, c.max_order + 1):
-                for n in range(1, c.max_order + 1):
-                    yield {"j": j, "l": l, "r": r, "k": k, "m": m, "n": n}
-
-
-def _chk_I5(p) -> Check:
-    a = lambda_rec(p["j"], p["l"], p["r"])
-    b = lambda_rec(p["k"], p["m"], p["n"])
+def _chk_I5(j, l, r, k, m, n) -> Check:
+    a = lambda_rec(j, l, r)
+    b = lambda_rec(k, m, n)
     return _eq_u(multiply(a, b), multiply(b, a))
 
 
-def _gen_I6(c: SuiteConfig):
-    for sign in (1, -1):
-        for j in range(1, c.max_index + 1):
-            for r in range(0, c.max_order + 1):
-                for s in range(0, c.max_order + 1):
-                    yield {"sign": sign, "j": j, "r": r, "s": s}
-
-
-def _chk_I6(p) -> Check:
-    x = xplus(p["j"]) if p["sign"] > 0 else xminus(p["j"])
-    r, s = p["r"], p["s"]
+def _chk_I6(sign, j, r, s) -> Check:
+    x = xplus(j) if sign > 0 else xminus(j)
     lhs = multiply(divided_power(x, r), divided_power(x, s))
     rhs = divided_power(x, r + s).scale(binom(r + s, s))
     return _eq_u(lhs, rhs)
 
 
-def _gen_I7(c: SuiteConfig):
-    for (j, l) in _pairs(c.max_index):
-        for r in range(0, c.max_order + 1):
-            for s in range(0, c.max_order + 1):
-                yield {"j": j, "r": r, "l": l, "s": s}
-
-
-def _chk_I7(p) -> Check:
-    j, r, l, s = p["j"], p["r"], p["l"], p["s"]
+def _chk_I7(j, r, l, s) -> Check:
     lhs = multiply(divided_power(xplus(j), r), divided_power(xminus(l), s))
     rhs = expand(straighten_plus_minus(j, r, l, s))
     return _eq_u(lhs, rhs)
 
 
-def _gen_I8(c: SuiteConfig):
-    for j in range(1, c.max_index + 1):
-        for (k, m) in _canonical_pairs(c.max_index):
-            for r in range(0, c.max_order + 1):
-                for n in range(0, c.max_order + 1):
-                    yield {"j": j, "r": r, "k": k, "m": m, "n": n}
-
-
-def _chk_I8(p) -> Check:
-    j, r, k, m, n = p["j"], p["r"], p["k"], p["m"], p["n"]
+def _chk_I8(j, r, k, m, n) -> Check:
     lhs = multiply(divided_power(xplus(j), r), lambda_rec(k, m, n))
     rhs = expand(move_x_past_lambda("plusLeft", j, r, (k, m), n))
     return _eq_u(lhs, rhs)
 
 
-def _gen_I9(c: SuiteConfig):
-    for l in range(1, c.max_index + 1):
-        for (k, m) in _canonical_pairs(c.max_index):
-            for s in range(0, c.max_order + 1):
-                for n in range(0, c.max_order + 1):
-                    yield {"l": l, "s": s, "k": k, "m": m, "n": n}
-
-
-def _chk_I9(p) -> Check:
-    l, s, k, m, n = p["l"], p["s"], p["k"], p["m"], p["n"]
+def _chk_I9(l, s, k, m, n) -> Check:
     lhs = multiply(lambda_rec(k, m, n), divided_power(xminus(l), s))
     rhs = expand(move_x_past_lambda("minusRight", l, s, (k, m), n))
     return _eq_u(lhs, rhs)
 
 
-def _gen_XKL1(c: SuiteConfig):
-    for k in range(1, c.max_index + 2):
-        for (j, l) in _pairs(c.max_index):
-            yield {"k": k, "j": j, "l": l}
-
-
-def _chk_XKL1(p) -> Check:
-    k, j, l = p["k"], p["j"], p["l"]
+def _chk_XKL1(k, j, l) -> Check:
     return _eq_lie(bracket(xplus(k), lambda1(j, l)), bracket_x_lambda1(k, j, l))
 
 
-def _gen_XJLN(c: SuiteConfig):
-    for j in range(1, c.max_index + 1):
-        for (k, m) in _canonical_pairs(c.max_index):
-            for n in range(0, c.max_order + 1):
-                yield {"j": j, "k": k, "m": m, "n": n}
-
-
-def _chk_XJLN(p) -> Check:
-    j, k, m, n = p["j"], p["k"], p["m"], p["n"]
+def _chk_XJLN(j, k, m, n) -> Check:
     lhs = multiply(from_lie(xplus(j)), lambda_rec(k, m, n))
     rhs = UEA_ZERO
     for i in range(n + 1):
@@ -217,101 +155,40 @@ def _chk_XJLN(p) -> Check:
     return _eq_u(lhs, rhs)
 
 
-def _gen_DU1(c: SuiteConfig):
-    for sign in (1, -1):
-        for u in range(0, c.max_order + 1):
-            for (j, l) in _pairs(c.max_index):
-                yield {"sign": sign, "u": u, "j": j, "l": l}
+def _chk_DU1(sign, u, j, l) -> Check:
+    return _eq_lie(d1_rec(sign, u, j, l), d1_closed(sign, u, j, l))
 
 
-def _chk_DU1(p) -> Check:
-    s, u, j, l = p["sign"], p["u"], p["j"], p["l"]
-    return _eq_lie(d1_rec(s, u, j, l), d1_closed(s, u, j, l))
-
-
-def _gen_DUV(c: SuiteConfig):
-    for sign in (1, -1):
-        for u in range(0, c.max_order + 1):
-            for v in range(0, c.max_order + 1):
-                for (j, l) in _pairs(c.max_index):
-                    yield {"sign": sign, "u": u, "v": v, "j": j, "l": l}
-
-
-def _chk_DUV(p) -> Check:
-    s, u, v, j, l = p["sign"], p["u"], p["v"], p["j"], p["l"]
-    a = duv_rec(s, u, v, j, l)
-    ok1, ce1 = _eq_u(a, duv_multinomial(s, u, v, j, l))
+def _chk_DUV(sign, u, v, j, l) -> Check:
+    a = duv_rec(sign, u, v, j, l)
+    ok1, ce1 = _eq_u(a, duv_multinomial(sign, u, v, j, l))
     if not ok1:
         return ok1, ce1
-    return _eq_u(a, duv_series(s, u, v, j, l))
+    return _eq_u(a, duv_series(sign, u, v, j, l))
 
 
-def _gen_LREC(c: SuiteConfig):
-    for (j, l) in _canonical_pairs(c.max_index):
-        for k in range(0, c.max_order + 1):
-            yield {"j": j, "l": l, "k": k}
-
-
-def _chk_LREC(p) -> Check:
-    j, l, k = p["j"], p["l"], p["k"]
+def _chk_LREC(j, l, k) -> Check:
     return _eq_u(lambda_rec(j, l, k), lambda_series(j, l, k))
 
 
-def _gen_PU(c: SuiteConfig):
-    for u in range(1, 2 * c.max_order + 1):
-        for (j, l) in _pairs(c.max_index):
-            yield {"u": u, "j": j, "l": l}
-
-
-def _chk_PU(p) -> Check:
-    u, j, l = p["u"], p["j"], p["l"]
+def _chk_PU(u, j, l) -> Check:
     return _eq_lie(p_def(u, j, l), p_closed(u, j, l))
 
 
-def _gen_P2N1(c: SuiteConfig):
-    for n in range(0, min(2, c.max_order) + 1):
-        for (j, l) in _pairs(c.max_index):
-            yield {"n": n, "j": j, "l": l}
-
-
-def _chk_P2N1(p) -> Check:
-    n, j, l = p["n"], p["j"], p["l"]
+def _chk_P2N1(n, j, l) -> Check:
     return _eq_lie(p_via_lambda_odd(n, j, l), p_def(2 * n + 1, j, l))
 
 
-def _gen_P2N(c: SuiteConfig):
-    for n in range(1, min(2, c.max_order) + 1):
-        for (j, l) in _pairs(c.max_index):
-            yield {"n": n, "j": j, "l": l}
-
-
-def _chk_P2N(p) -> Check:
-    n, j, l = p["n"], p["j"], p["l"]
+def _chk_P2N(n, j, l) -> Check:
     return _eq_lie(p_via_lambda_even(n, j, l), p_def(2 * n, j, l))
 
 
-def _gen_PNEWD(c: SuiteConfig):
-    for u in range(0, c.max_order + 1):
-        for k in range(0, c.max_order + 1):
-            for (j, l) in _pairs(c.max_index):
-                yield {"u": u, "k": k, "j": j, "l": l}
-
-
-def _chk_PNEWD(p) -> Check:
-    u, k, j, l = p["u"], p["k"], p["j"], p["l"]
+def _chk_PNEWD(u, k, j, l) -> Check:
     lhs = bracket(d1_closed(1, u, j, l), d1_closed(-1, k, j, l))
     return _eq_lie(lhs, p_def(k + u + 1, j, l))
 
 
-def _gen_BXP(c: SuiteConfig):
-    for i in range(1, c.max_order + 1):
-        for j in range(1, c.max_index + 1):
-            for (k, m) in _canonical_pairs(c.max_index):
-                yield {"i": i, "j": j, "k": k, "m": m}
-
-
-def _chk_BXP(p) -> Check:
-    i, j, k, m = p["i"], p["j"], p["k"], p["m"]
+def _chk_BXP(i, j, k, m) -> Check:
     ok1, ce1 = _eq_lie(bracket(xplus(j), p_def(i, k, m)),
                        d_triple(1, i, j, k, m).scale(-2))
     if not ok1:
@@ -320,28 +197,12 @@ def _chk_BXP(p) -> Check:
                    d_triple(-1, i, j, k, m).scale(-2))
 
 
-def _gen_BPD(c: SuiteConfig):
-    for m in range(1, c.max_order + 1):
-        for u in range(0, c.max_order + 1):
-            for (j, l) in _pairs(c.max_index):
-                yield {"m": m, "u": u, "j": j, "l": l}
-
-
-def _chk_BPD(p) -> Check:
-    m, u, j, l = p["m"], p["u"], p["j"], p["l"]
+def _chk_BPD(m, u, j, l) -> Check:
     lhs = bracket(p_def(m, j, l), d1_closed(1, u, j, l))
     return _eq_lie(lhs, d1_closed(1, m + u, j, l).scale(2))
 
 
-def _gen_DU1L(c: SuiteConfig):
-    for u in range(0, c.max_order + 1):
-        for n in range(0, c.max_order + 1):
-            for (j, l) in _pairs(c.max_index):
-                yield {"u": u, "n": n, "j": j, "l": l}
-
-
-def _chk_DU1L(p) -> Check:
-    u, n, j, l = p["u"], p["n"], p["j"], p["l"]
+def _chk_DU1L(u, n, j, l) -> Check:
     lhs = multiply(from_lie(d1_closed(1, u, j, l)), lambda_rec(j, l, n))
     rhs = UEA_ZERO
     for i in range(n + 1):
@@ -350,15 +211,7 @@ def _chk_DU1L(p) -> Check:
     return _eq_u(lhs, rhs)
 
 
-def _gen_LDP(c: SuiteConfig):
-    for i in range(0, c.max_order + 1):
-        for k in range(0, c.max_order + 1):
-            for (j, l) in _pairs(c.max_index):
-                yield {"i": i, "k": k, "j": j, "l": l}
-
-
-def _chk_LDP(p) -> Check:
-    i, k, j, l = p["i"], p["k"], p["j"], p["l"]
+def _chk_LDP(i, k, j, l) -> Check:
     lhs = multiply(lambda_rec(j, l, i), from_lie(d1_closed(1, k, j, l)))
     rhs = (multiply(from_lie(d1_closed(1, k, j, l)), lambda_rec(j, l, i))
            + multiply(from_lie(d1_closed(1, k + 1, j, l)),
@@ -367,38 +220,21 @@ def _chk_LDP(p) -> Check:
     return _eq_u(lhs, rhs)
 
 
-def _gen_UD(c: SuiteConfig):
-    for sign in (1, -1):
-        for u in range(0, c.max_order + 1):
-            for v in range(1, c.max_order + 1):
-                for (j, l) in _pairs(c.max_index):
-                    yield {"sign": sign, "u": u, "v": v, "j": j, "l": l}
-
-
-def _chk_UD(p) -> Check:
-    sg, u, v, j, l = p["sign"], p["u"], p["v"], p["j"], p["l"]
+def _chk_UD(sign, u, v, j, l) -> Check:
     rhs1 = UEA_ZERO
     rhs2 = UEA_ZERO
     for i in range(u + 1):
-        t = multiply(from_lie(d1_closed(sg, i, j, l)), duv_rec(sg, u - i, v - 1, j, l))
+        t = multiply(from_lie(d1_closed(sign, i, j, l)), duv_rec(sign, u - i, v - 1, j, l))
         rhs1 = rhs1 + t.scale(i)
         rhs2 = rhs2 + t.scale(i + 1)
-    base = duv_rec(sg, u, v, j, l)
+    base = duv_rec(sign, u, v, j, l)
     ok1, ce1 = _eq_u(base.scale(u), rhs1)
     if not ok1:
         return ok1, ce1
     return _eq_u(base.scale(u + v), rhs2)
 
 
-def _gen_LDXM(c: SuiteConfig):
-    for n in range(0, c.max_order + 1):
-        for v in range(1, c.max_order + 1):
-            for (j, l) in _pairs(c.max_index):
-                yield {"n": n, "v": v, "j": j, "l": l}
-
-
-def _chk_LDXM(p) -> Check:
-    n, v, j, l = p["n"], p["v"], p["j"], p["l"]
+def _chk_LDXM(n, v, j, l) -> Check:
     lhs = UEA_ZERO
     for i in range(n + 1):
         lhs = lhs + multiply(multiply(lambda_rec(j, l, i), duv_rec(1, n - i, v, j, l)),
@@ -416,15 +252,7 @@ def _chk_LDXM(p) -> Check:
     return _eq_u(lhs, rhs)
 
 
-def _gen_LL(c: SuiteConfig):
-    for (j, l) in _canonical_pairs(c.max_index):
-        for k in range(1, c.max_order + 1):
-            for m in range(k, c.max_order + 1):
-                yield {"j": j, "l": l, "k": k, "m": m}
-
-
-def _chk_LL(p) -> Check:
-    j, l, k, m = p["j"], p["l"], p["k"], p["m"]
+def _chk_LL(j, l, k, m) -> Check:
     product = pbw_normal_form(multiply(lambda_rec(j, l, k), lambda_rec(j, l, m)))
     try:
         out = merge_lambda_pair(j, l, k, m)
@@ -441,16 +269,7 @@ def _chk_LL(p) -> Check:
     return _eq_u(expand(out), product)
 
 
-def _gen_BRKDEG(c: SuiteConfig):
-    for part in (1, 2, 3):
-        for (j, l) in _pairs(c.max_index):
-            for r in range(1, c.max_order + 1):
-                for s in range(1, c.max_order + 1):
-                    yield {"part": part, "j": j, "l": l, "r": r, "s": s}
-
-
-def _chk_BRKDEG(p) -> Check:
-    part, j, l, r, s = p["part"], p["j"], p["l"], p["r"], p["s"]
+def _chk_BRKDEG(part, j, l, r, s) -> Check:
     if part == 1:
         a, b = XFactor(1, j, r), XFactor(-1, l, s)
     elif part == 2:
@@ -465,43 +284,25 @@ def _chk_BRKDEG(p) -> Check:
     return True, None
 
 
-def _gen_CORINT(c: SuiteConfig):
-    for sign in (1, -1):
-        for u in range(0, c.max_order + 1):
-            for v in range(0, c.max_order + 1):
-                for (j, l) in _pairs(c.max_index):
-                    yield {"sign": sign, "u": u, "v": v, "j": j, "l": l}
-
-
-def _chk_CORINT(p) -> Check:
-    sg, u, v, j, l = p["sign"], p["u"], p["v"], p["j"], p["l"]
-    target = pbw_normal_form(duv_rec(sg, u, v, j, l))
-    nf = normalize_to_basis(duv_mform(sg, u, v, j, l))
+def _chk_CORINT(sign, u, v, j, l) -> Check:
+    target = pbw_normal_form(duv_rec(sign, u, v, j, l))
+    nf = normalize_to_basis(duv_mform(sign, u, v, j, l))
     if any(coeff.denominator != 1 for coeff in nf.coeffs.values()):
         return False, (expand(nf), target)
     return _eq_u(expand(nf), target)
 
 
-def _gen_THMAUDIT(c: SuiteConfig):
-    yield {"max_mdegree": c.max_order, "max_index": c.max_index}
-
-
-def _chk_THMAUDIT(p) -> Check:
-    report = audit_theorem(p["max_mdegree"], p["max_index"])
+def _chk_THMAUDIT(max_mdegree, max_index) -> Check:
+    report = audit_theorem(max_mdegree, max_index)
     ok = report.independent and report.triangular and report.integral
     return ok, None
 
 
-def _gen_REALIZE(c: SuiteConfig):
-    yield {"max_index": c.max_index}
-
-
-def _chk_REALIZE(p) -> Check:
-    n = p["max_index"]
+def _chk_REALIZE(max_index) -> Check:
+    n = max_index
     failures = loop.verify_structure_constants(n)
     if failures:
         a, b = failures[0]
-        from .lie import generator
         return False, (from_lie(generator(a.kind, a.index)),
                        from_lie(generator(b.kind, b.index)))
     # the outer involution fixes every embedded generator
@@ -532,34 +333,86 @@ def _chk_REALIZE(p) -> Check:
 
 
 _REGISTRY = {
-    "I5": (_gen_I5, _chk_I5),
-    "I6": (_gen_I6, _chk_I6),
-    "I7": (_gen_I7, _chk_I7),
-    "I8": (_gen_I8, _chk_I8),
-    "I9": (_gen_I9, _chk_I9),
-    "XKL1": (_gen_XKL1, _chk_XKL1),
-    "XJLN": (_gen_XJLN, _chk_XJLN),
-    "DU1": (_gen_DU1, _chk_DU1),
-    "DUV": (_gen_DUV, _chk_DUV),
-    "LREC": (_gen_LREC, _chk_LREC),
-    "PU": (_gen_PU, _chk_PU),
-    "P2N1": (_gen_P2N1, _chk_P2N1),
-    "P2N": (_gen_P2N, _chk_P2N),
-    "PNEWD": (_gen_PNEWD, _chk_PNEWD),
-    "BXP": (_gen_BXP, _chk_BXP),
-    "BPD": (_gen_BPD, _chk_BPD),
-    "DU1L": (_gen_DU1L, _chk_DU1L),
-    "LDP": (_gen_LDP, _chk_LDP),
-    "UD": (_gen_UD, _chk_UD),
-    "LDXM": (_gen_LDXM, _chk_LDXM),
-    "LL": (_gen_LL, _chk_LL),
-    "BRKDEG": (_gen_BRKDEG, _chk_BRKDEG),
-    "CORINT": (_gen_CORINT, _chk_CORINT),
-    "THMAUDIT": (_gen_THMAUDIT, _chk_THMAUDIT),
-    "REALIZE": (_gen_REALIZE, _chk_REALIZE),
+    "I5": _chk_I5,
+    "I6": _chk_I6,
+    "I7": _chk_I7,
+    "I8": _chk_I8,
+    "I9": _chk_I9,
+    "XKL1": _chk_XKL1,
+    "XJLN": _chk_XJLN,
+    "DU1": _chk_DU1,
+    "DUV": _chk_DUV,
+    "LREC": _chk_LREC,
+    "PU": _chk_PU,
+    "P2N1": _chk_P2N1,
+    "P2N": _chk_P2N,
+    "PNEWD": _chk_PNEWD,
+    "BXP": _chk_BXP,
+    "BPD": _chk_BPD,
+    "DU1L": _chk_DU1L,
+    "LDP": _chk_LDP,
+    "UD": _chk_UD,
+    "LDXM": _chk_LDXM,
+    "LL": _chk_LL,
+    "BRKDEG": _chk_BRKDEG,
+    "CORINT": _chk_CORINT,
+    "THMAUDIT": _chk_THMAUDIT,
+    "REALIZE": _chk_REALIZE,
 }
 
 CATALOG = tuple(_REGISTRY)
+
+
+def _grid(c: SuiteConfig) -> dict[str, tuple]:
+    """Each tag's axes, outermost first.  An axis is a name and its
+    values, or a tuple of names and a list of value tuples."""
+    index = range(1, c.max_index + 1)
+    order0 = range(0, c.max_order + 1)
+    order1 = range(1, c.max_order + 1)
+    sign = ("sign", (1, -1))
+    jl = (("j", "l"), [(j, l) for j in index for l in index])
+
+    def canonical(a, b):
+        return (a, b), [(j, l) for j in index for l in index if l <= j]
+
+    return {
+        "I5": (canonical("j", "l"), canonical("k", "m"), ("r", order1), ("n", order1)),
+        "I6": (sign, ("j", index), ("r", order0), ("s", order0)),
+        "I7": (jl, ("r", order0), ("s", order0)),
+        "I8": (("j", index), canonical("k", "m"), ("r", order0), ("n", order0)),
+        "I9": (("l", index), canonical("k", "m"), ("s", order0), ("n", order0)),
+        "XKL1": (("k", range(1, c.max_index + 2)), jl),
+        "XJLN": (("j", index), canonical("k", "m"), ("n", order0)),
+        "DU1": (sign, ("u", order0), jl),
+        "DUV": (sign, ("u", order0), ("v", order0), jl),
+        "LREC": (canonical("j", "l"), ("k", order0)),
+        "PU": (("u", range(1, 2 * c.max_order + 1)), jl),
+        "P2N1": (("n", range(0, min(2, c.max_order) + 1)), jl),
+        "P2N": (("n", range(1, min(2, c.max_order) + 1)), jl),
+        "PNEWD": (("u", order0), ("k", order0), jl),
+        "BXP": (("i", order1), ("j", index), canonical("k", "m")),
+        "BPD": (("m", order1), ("u", order0), jl),
+        "DU1L": (("u", order0), ("n", order0), jl),
+        "LDP": (("i", order0), ("k", order0), jl),
+        "UD": (sign, ("u", order0), ("v", order1), jl),
+        "LDXM": (("n", order0), ("v", order1), jl),
+        "LL": (canonical("j", "l"),
+               (("k", "m"), [(k, m) for k in order1 for m in range(k, c.max_order + 1)])),
+        "BRKDEG": (("part", (1, 2, 3)), jl, ("r", order1), ("s", order1)),
+        "CORINT": (sign, ("u", order0), ("v", order0), jl),
+        "THMAUDIT": (("max_mdegree", (c.max_order,)), ("max_index", (c.max_index,))),
+        "REALIZE": (("max_index", (c.max_index,)),),
+    }
+
+
+def _instances(axes: tuple, check):
+    """The grid's points as params dicts, keyed in the check's order."""
+    names = inspect.signature(check).parameters
+    for point in itertools.product(*(values for _, values in axes)):
+        flat = {}
+        for (key, _), value in zip(axes, point):
+            flat.update(zip(key, value) if isinstance(key, tuple) else [(key, value)])
+        yield {name: flat[name] for name in names}
 
 
 @dataclass(frozen=True)
@@ -585,14 +438,14 @@ class SuiteConfig:
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     cfg.validate()
+    grid = _grid(cfg)
     results = []
-    for tag in CATALOG:
+    for tag, check in _REGISTRY.items():
         if tag not in cfg.tags:
             continue
-        gen, check = _REGISTRY[tag]
-        for params in gen(cfg):
+        for params in _instances(grid[tag], check):
             t0 = time.perf_counter()
-            passed, ce = check(params)
+            passed, ce = check(**params)
             results.append(InstanceResult(tag, params, passed, ce, time.perf_counter() - t0))
     return SuiteReport(cfg, results)
 

@@ -54,6 +54,13 @@ def test_parse_bracket_and_rationals():
     assert parse("[xp(2), xm(1)] + 3/2") == Sum(((1, bracket), (1, Lit(Fraction(3, 2)))))
 
 
+def test_integral_literal_quotient_is_int():
+    for text in ("4/2*xp(1)", "6/3"):
+        coeffs = evaluate(parse(text)).coeffs.values()
+        assert coeffs and all(type(c) is int for c in coeffs)
+    assert list(evaluate(parse("2/4*xp(1)")).coeffs.values()) == [Fraction(1, 2)]
+
+
 def test_parse_signed_calls():
     parse("d1(+,2,1,1)")
     parse("duv(-,1,2,2,1)")
