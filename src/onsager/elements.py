@@ -108,27 +108,46 @@ def bracket_x_lambda1(k: int, j: int, l: int) -> LieElement:
 
 
 _LAMBDA_CACHE: dict = caches.register({})
+_LAMBDA_NUM_CACHE: dict = caches.register({})
 
 
-def lambda_rec(j: int, l: int, k: int) -> UEAElement:
-    """Lambda element of order k via the Newton-style recursion.
+def lambda_num(j: int, l: int, k: int) -> UEAElement:
+    """k! times the Lambda element of order k, with integer coefficients.
 
-    Values live in the commutative h-subalgebra and are kept with
-    sorted words.  Lambda is 0 for k < 0 and 1 for k = 0.
+    Newton's identity k*Lambda_k = -sum_i p_i Lambda_{k-i}, scaled by
+    (k-1)!, gives N_k = -sum_{i=1..k} ((k-1)!/(k-i)!) p_i N_{k-i} with
+    N_0 = 1.  Values live in the commutative h-subalgebra and are kept
+    with sorted words; N is 0 for k < 0.
     """
     if k < 0:
         return UEA_ZERO
     if k == 0:
         return UEA_ONE
     key = (j, l, k)
-    if key not in _LAMBDA_CACHE:
+    got = _LAMBDA_NUM_CACHE.get(key)
+    if got is None:
         acc = UEA_ZERO
+        ratio = 1  # (k-1)!/(k-i)!
         for i in range(1, k + 1):
             acc = acc + commutative_multiply(
-                from_lie(p_def(i, j, l)), lambda_rec(j, l, k - i)
-            )
-        _LAMBDA_CACHE[key] = (-acc).divide(k)
-    return _LAMBDA_CACHE[key]
+                from_lie(p_def(i, j, l)).scale(ratio), lambda_num(j, l, k - i))
+            ratio *= k - i
+        got = _LAMBDA_NUM_CACHE[key] = -acc
+    return got
+
+
+def lambda_rec(j: int, l: int, k: int) -> UEAElement:
+    """Lambda element of order k: :func:`lambda_num` divided by k!.
+
+    Lambda is 0 for k < 0 and 1 for k = 0.
+    """
+    if k <= 0:
+        return lambda_num(j, l, k)
+    key = (j, l, k)
+    got = _LAMBDA_CACHE.get(key)
+    if got is None:
+        got = _LAMBDA_CACHE[key] = lambda_num(j, l, k).divide(math.factorial(k))
+    return got
 
 
 def lambda_series(j: int, l: int, k: int) -> UEAElement:

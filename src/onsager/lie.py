@@ -39,8 +39,11 @@ class LinComb:
 
     The one sparse type behind every element of the package: Lie
     elements, PBW words, ordered monomials and Laurent polynomials all
-    store ``coeffs`` as a plain dict, with zero coefficients dropped at
-    construction so that equal elements have equal dicts.  Arithmetic
+    store ``coeffs`` as a plain dict that never holds a zero coefficient,
+    so that equal elements have equal dicts.  The public constructor
+    filters; the arithmetic filters only where a sum can cancel (``+``,
+    ``-`` and :meth:`convolve`), since negating, scaling by a nonzero
+    value or dividing cannot make a coefficient zero.  Arithmetic
     returns the operand's own subclass, and equality is type-exact, so
     two kinds of element never compare equal by accident.  Coefficients
     are used as they come: integers stay ``int``, and a ``Fraction``
@@ -53,6 +56,13 @@ class LinComb:
     def __init__(self, coeffs: dict | None = None):
         self.coeffs = {k: c for k, c in (coeffs or {}).items() if c}
 
+    @classmethod
+    def _of(cls, coeffs: dict):
+        """Wrap a dict that holds no zero coefficient, without filtering."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -64,21 +74,37 @@ class LinComb:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             old = out.get(k)
-            out[k] = c if old is None else old + c
-        return type(self)(out)
+            if old is None:
+                out[k] = c
+                continue
+            c = old + c
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return self._of(out)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             old = out.get(k)
-            out[k] = -c if old is None else old - c
-        return type(self)(out)
+            if old is None:
+                out[k] = -c
+                continue
+            c = old - c
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return self._of(out)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.coeffs.items()})
+        return self._of({k: -c for k, c in self.coeffs.items()})
 
     def scale(self, c):
-        return type(self)({k: c * v for k, v in self.coeffs.items()})
+        if not c:
+            return type(self)()
+        return self._of({k: c * v for k, v in self.coeffs.items()})
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -93,7 +119,7 @@ class LinComb:
         for k, v in self.coeffs.items():
             q = Fraction(v, d)
             out[k] = q.numerator if q.denominator == 1 else q
-        return type(self)(out)
+        return self._of(out)
 
     def convolve(self, other):
         """Keyed product: keys combine by ``+`` (tuples concatenate,

@@ -12,8 +12,10 @@ basis at a finite truncation.
 
 from __future__ import annotations
 
-import itertools
+import bisect
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 from . import caches, linalg
@@ -26,7 +28,7 @@ from .uea import (
     pbw_normal_form,
     rewrite,
 )
-from .elements import binom, d1_closed, d_triple, exponent_tuples, lambda_rec
+from .elements import binom, d1_closed, d_triple, exponent_tuples, lambda_num, lambda_rec
 
 
 class NoLambdaExpression(Exception):
@@ -337,29 +339,58 @@ def move_x_past_lambda(side: str, x_index: int, r: int,
 _MERGE_CACHE: dict = caches.register({})
 
 
-def _y_coordinates(component: dict) -> dict:
+def _y_coordinates(component: dict, den: int = 1) -> dict:
     """Homogeneous h-polynomial -> ordinary monomial coords in the Y_i.
 
-    Input maps sorted h-index tuples to coefficients.  Substitutes
-    h_i = h_parity + Y_i + Y_{i-2} + ... and expands; raises
-    NoLambdaExpression if any h_0/h_1 content survives.
+    Input maps sorted h-index tuples to coefficients, all over ``den``.
+    A ring map: each letter is substituted once, as
+    h_i = h_parity + Y_i + Y_{i-2} + ..., and word prefixes expand with
+    merging; raises NoLambdaExpression if any h_0/h_1 content survives.
     """
-    coords: dict = {}
-    leftovers: dict = {}  # (base indices, Y's) -> coefficient
+    # A monomial is a sorted letter tuple: 0 and 1 stand for the bases
+    # h_0 and h_1, t >= 2 for Y_t, so base letters sort first.
+    expansions: dict = {(): {(): 1}}
+
+    def expansion(word: tuple) -> dict:
+        cut = len(word)
+        while word[:cut] not in expansions:
+            cut -= 1
+        got = expansions[word[:cut]]
+        for cut in range(cut + 1, len(word) + 1):
+            i = word[cut - 1]
+            letters = (i % 2, *range(i, 1, -2))
+            nxt: dict = {}
+            for mono, n in got.items():
+                for t in letters:
+                    at = bisect.bisect_right(mono, t)
+                    key = mono[:at] + (t,) + mono[at:]
+                    nxt[key] = nxt.get(key, 0) + n
+            got = expansions[word[:cut]] = nxt
+        return got
+
+    # sum in ints over one common denominator, and divide once
+    scale = math.lcm(*(c.denominator for c in component.values()))
+    total: dict = {}
     for word, c in component.items():
-        # each letter h_i is its base h_0 / h_1, marked (0, parity), or a chain Y
-        options = [[(0, i % 2)] + [(1, t) for t in range(i, 1, -2)] for i in word]
-        for choice in itertools.product(*options):
-            base = tuple(sorted(t for tag, t in choice if not tag))
-            ys = tuple(sorted(t for tag, t in choice if tag))
-            if base:
-                leftovers[base, ys] = leftovers.get((base, ys), 0) + c
-            else:
-                coords[ys] = coords.get(ys, 0) + c
-    bad = {k: v for k, v in leftovers.items() if v != 0}
+        n = c.numerator * (scale // c.denominator)
+        for mono, k in expansion(word).items():
+            total[mono] = total.get(mono, 0) + n * k
+    scale *= den
+    coords: dict = {}
+    bad: dict = {}
+    for mono, v in total.items():
+        if not v:
+            continue
+        q = Fraction(v, scale)
+        q = q.numerator if q.denominator == 1 else q
+        at = bisect.bisect_left(mono, 2)
+        if at:
+            bad[mono[:at], mono[at:]] = q
+        else:
+            coords[mono] = q
     if bad:
         raise NoLambdaExpression(f"h_0/h_1 content in correction: {bad}")
-    return {k: v for k, v in coords.items() if v != 0}
+    return coords
 
 
 def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
@@ -368,21 +399,24 @@ def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
     if got is not None:
         return got
     lead_coeff = binom(k + m, k)
-    remainder = (pbw_normal_form(multiply(lambda_rec(j, l, k), lambda_rec(j, l, m)))
-                 - lambda_rec(j, l, k + m).scale(lead_coeff))
+    # the remainder NF(L_k L_m) - C L_{k+m}, kept in ints as (k+m)! times
+    # its value: C (NF(N_k N_m) - N_{k+m}) with N_k = k! L_k
+    scale = math.factorial(k + m)
+    product = pbw_normal_form(multiply(lambda_num(j, l, k), lambda_num(j, l, m)))
+    remainder = dict((product - lambda_num(j, l, k + m)).scale(lead_coeff).coeffs)
     corr: dict = {}
-    while not remainder.is_zero:
-        d = max(len(w) for w in remainder.coeffs)
+    while remainder:
+        d = max(len(w) for w in remainder)
         if d == 0:
-            c0 = remainder.coeffs[()]
+            c0 = Fraction(remainder[()], scale)
             if c0.denominator != 1:
                 raise NoLambdaExpression(f"non-integral constant term {c0}")
             corr[()] = corr.get((), 0) + c0.numerator
             break
         component = {tuple(b.index for b in w): c
-                     for w, c in remainder.coeffs.items() if len(w) == d}
+                     for w, c in remainder.items() if len(w) == d}
         picked: dict = {}
-        for ys, c in _y_coordinates(component).items():
+        for ys, c in _y_coordinates(component, scale).items():
             mult: dict[int, int] = {}
             for t in ys:
                 mult[t] = mult.get(t, 0) + 1
@@ -399,7 +433,16 @@ def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
             picked[word] = picked.get(word, 0) + coeff
         for word, c in picked.items():
             corr[word] = corr.get(word, 0) + c
-            remainder = remainder - expand_word(word).scale(c)
+            # the word's expansion has denominators dividing d!, and d < k+m
+            for w, v in expand_word(word).items():
+                v *= scale * c
+                if v.denominator != 1:
+                    raise ArithmeticError(f"non-integral scaled expansion {v} of {word}")
+                v = remainder.get(w, 0) - v.numerator
+                if v:
+                    remainder[w] = v
+                else:
+                    del remainder[w]
     out = monomial(lfactor(j, l, k + m)).scale(lead_coeff) + MForm(corr)
     _MERGE_CACHE[key] = out
     return out

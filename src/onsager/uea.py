@@ -58,9 +58,12 @@ def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict
 
     The first (or last) adjacent pair with ``bad(a, b)`` is replaced by
     each term of ``rule(a, b).items()``; a word with no such pair is
-    normal.  Every word met is memoized in ``memo``.  The descent runs
-    post-order on an explicit stack, so long rewrite chains need no
-    Python recursion; the rules must terminate.
+    normal.  Every word met is memoized in ``memo``.  A step whose rule
+    gives one term with coefficient 1 (a pure reordering) stores its
+    target's entry under the word itself, so memo values are shared and
+    must be treated as read-only.  The descent runs post-order on an
+    explicit stack, so long rewrite chains need no Python recursion; the
+    rules must terminate.
     """
     got = memo.get(word)
     if got is not None:
@@ -73,6 +76,9 @@ def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict
             continue
         pieces = pending.pop(w, None)
         if pieces is not None:
+            if len(pieces) == 1 and pieces[0][1] == 1:
+                memo[w] = memo[pieces[0][0]]
+                continue
             out: dict = {}
             for k, c in pieces:
                 for ww, cc in memo[k].items():
@@ -94,11 +100,16 @@ def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict
 
 
 _NF_CACHE: dict[Word, dict[Word, int]] = caches.register({})
+_SWAP_CACHE: dict[Word, dict[Word, int]] = caches.register({})
 
 
 def _swap(a: BasisElement, b: BasisElement) -> dict:
-    """ab = ba + [a,b]."""
-    return {(b, a): 1, **{(g,): c for g, c in bracket_basis(a, b).items()}}
+    """ab = ba + [a,b], memoized per pair; the entries are read-only."""
+    got = _SWAP_CACHE.get((a, b))
+    if got is None:
+        got = _SWAP_CACHE[a, b] = {
+            (b, a): 1, **{(g,): c for g, c in bracket_basis(a, b).items()}}
+    return got
 
 
 def pbw_normal_form(a: UEAElement, strategy: str = "leftmost") -> UEAElement:

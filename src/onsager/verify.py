@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import inspect
 import itertools
+import math
 import time
 
 from . import linalg, loop
@@ -35,6 +36,7 @@ from .elements import (
     duv_rec,
     duv_series,
     lambda1,
+    lambda_num,
     lambda_rec,
     lambda_series,
     p_closed,
@@ -109,8 +111,12 @@ def _eq_lie(lhs: LieElement, rhs: LieElement) -> Check:
 # run over.
 
 def _chk_I5(j, l, r, k, m, n) -> Check:
-    a = lambda_rec(j, l, r)
-    b = lambda_rec(k, m, n)
+    # the integer forms commute iff the Lambdas do; the exact Lambdas are
+    # needed only for the counterexample
+    a, b = lambda_num(j, l, r), lambda_num(k, m, n)
+    if pbw_normal_form(multiply(a, b) - multiply(b, a)).is_zero:
+        return True, None
+    a, b = lambda_rec(j, l, r), lambda_rec(k, m, n)
     return _eq_u(multiply(a, b), multiply(b, a))
 
 
@@ -253,7 +259,8 @@ def _chk_LDXM(n, v, j, l) -> Check:
 
 
 def _chk_LL(j, l, k, m) -> Check:
-    product = pbw_normal_form(multiply(lambda_rec(j, l, k), lambda_rec(j, l, m)))
+    product = pbw_normal_form(multiply(lambda_num(j, l, k), lambda_num(j, l, m))).divide(
+        math.factorial(k) * math.factorial(m))
     try:
         out = merge_lambda_pair(j, l, k, m)
     except NoLambdaExpression:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from onsager.lie import bracket, h, xminus, xplus
@@ -13,6 +14,7 @@ from onsager.elements import (
     duv_series,
     exponent_tuples,
     lambda1,
+    lambda_num,
     lambda_rec,
     lambda_series,
     p_closed,
@@ -78,6 +80,16 @@ def test_lambda_dual_paths():
         for j in range(1, 4):
             for l in range(1, 4):
                 assert equal(lambda_rec(j, l, k), lambda_series(j, l, k))
+
+
+def test_integer_lambda_is_k_factorial_lambda():
+    for j in range(1, 4):
+        for l in range(1, 4):
+            for k in range(0, 5):
+                n = lambda_num(j, l, k)
+                assert all(type(c) is int for c in n.coeffs.values())
+                assert n == lambda_series(j, l, k).scale(math.factorial(k))
+                assert lambda_rec(j, l, k) == lambda_series(j, l, k)
 
 
 def test_lambda_degenerate_orders():

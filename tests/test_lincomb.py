@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onsager.lie import BasisElement, Kind, LieElement
 from onsager.loop import GR0, GR1, GaussianRational, LaurentPoly, gr
@@ -83,3 +84,46 @@ def test_gaussian_zero_is_falsy_and_cancels_in_laurent_poly():
     assert gr(0, 1) and gr(1, 0)
     p = LaurentPoly({1: gr(2, -3), 2: GR1}) + LaurentPoly({1: gr(-2, 3)})
     assert p.coeffs == {2: GR1}
+
+
+# words over two letters, so that sums and convolutions collide and cancel
+WORDS = st.lists(st.sampled_from([XP1, H2]), max_size=2).map(tuple)
+COEFFS = st.one_of(st.integers(-3, 3),
+                   st.fractions(min_value=-2, max_value=2, max_denominator=3))
+DICTS = st.dictionaries(WORDS, COEFFS, max_size=5)
+
+
+def _filtered(coeffs: dict) -> dict:
+    return {k: c for k, c in coeffs.items() if c != 0}
+
+
+def _summed(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return _filtered(out)
+
+
+@given(DICTS, DICTS, COEFFS, st.integers(-4, 4).filter(bool))
+@settings(deadline=None)
+def test_arithmetic_stores_no_zero_and_matches_full_filtering(da, db, c, d):
+    a, b = UEAElement(da), UEAElement(db)
+    fa, fb = _filtered(da), _filtered(db)
+    convolved: dict = {}
+    for ka, ca in fa.items():
+        for kb, cb in fb.items():
+            convolved[ka + kb] = convolved.get(ka + kb, 0) + ca * cb
+    cases = [
+        (a + b, _summed(fa, fb, 1)),
+        (a - b, _summed(fa, fb, -1)),
+        (a - a, {}),
+        (-a, {k: -v for k, v in fa.items()}),
+        (a.scale(c), _filtered({k: c * v for k, v in fa.items()})),
+        (a.scale(0), {}),
+        (a.divide(d), {k: Fraction(v, d) for k, v in fa.items()}),
+        (a.convolve(b), _filtered(convolved)),
+    ]
+    for got, want in cases:
+        assert type(got) is UEAElement
+        assert all(v != 0 for v in got.coeffs.values())
+        assert got.coeffs == want

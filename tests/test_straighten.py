@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -104,6 +105,77 @@ def test_y_coordinates_keeps_h0_and_h1_apart():
     # h_0 - h_1 is all base content: the two bases must not cancel
     with pytest.raises(NoLambdaExpression):
         _y_coordinates({(0,): 1, (1,): -1})
+
+
+def _y_coordinates_by_enumeration(component: dict) -> dict:
+    """Oracle: every choice of substitution for every letter, one by one."""
+    coords: dict = {}
+    leftovers: dict = {}
+    for word, c in component.items():
+        options = [[(0, i % 2)] + [(1, t) for t in range(i, 1, -2)] for i in word]
+        for choice in itertools.product(*options):
+            base = tuple(sorted(t for tag, t in choice if not tag))
+            ys = tuple(sorted(t for tag, t in choice if tag))
+            if base:
+                leftovers[base, ys] = leftovers.get((base, ys), 0) + c
+            else:
+                coords[ys] = coords.get(ys, 0) + c
+    bad = {k: v for k, v in leftovers.items() if v != 0}
+    if bad:
+        raise NoLambdaExpression(f"h_0/h_1 content in correction: {bad}")
+    return {k: v for k, v in coords.items() if v != 0}
+
+
+def _chain_image(ys: tuple) -> dict:
+    """The h-words of a product of Y_t = h_t - h_{t-2}."""
+    out: dict = {(): 1}
+    for t in ys:
+        nxt: dict = {}
+        for word, c in out.items():
+            for i, s in ((t, 1), (t - 2, -1)):
+                w = tuple(sorted(word + (i,)))
+                nxt[w] = nxt.get(w, 0) + s * c
+        out = nxt
+    return out
+
+
+Y_COEFFS = st.one_of(st.integers(-3, 3).filter(bool),
+                     st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool))
+
+
+@st.composite
+def _components(draw):
+    """Homogeneous h-polynomials of degree <= 4 over h_0..h_8: arbitrary
+    ones (mostly with base content), and images of Y-polynomials,
+    optionally disturbed by one arbitrary word."""
+    d = draw(st.integers(0, 4))
+    words = st.lists(st.integers(0, 8), min_size=d, max_size=d).map(lambda w: tuple(sorted(w)))
+    if draw(st.booleans()):
+        return draw(st.dictionaries(words, Y_COEFFS, max_size=4))
+    out: dict = {}
+    ys_words = st.lists(st.integers(2, 8), min_size=d, max_size=d).map(tuple)
+    for ys, c in draw(st.dictionaries(ys_words, Y_COEFFS, max_size=3)).items():
+        for w, v in _chain_image(ys).items():
+            out[w] = out.get(w, 0) + c * v
+    if draw(st.booleans()):
+        w = draw(words)
+        out[w] = out.get(w, 0) + draw(Y_COEFFS)
+    return out
+
+
+@given(_components(), st.integers(1, 3))
+@settings(deadline=None, max_examples=300)
+def test_y_coordinates_ring_map_matches_enumeration(component, den):
+    scaled = {w: Fraction(c, den) for w, c in component.items()}
+    try:
+        want = _y_coordinates_by_enumeration(scaled)
+    except NoLambdaExpression:
+        with pytest.raises(NoLambdaExpression):
+            _y_coordinates(component, den)
+        return
+    assert _y_coordinates(component, den) == want
+    if den == 1:
+        assert _y_coordinates(component) == want
 
 
 def test_merge_small_case_exact():

@@ -20,7 +20,7 @@ from onsager.uea import (
     power,
     rewrite,
 )
-from onsager import uea
+from onsager import caches, lie, uea
 from onsager.elements import binom
 
 
@@ -165,3 +165,23 @@ def test_rightmost_keeps_out_of_the_cache():
     before = len(uea._NF_CACHE)
     pbw_normal_form(a, "rightmost")
     assert len(uea._NF_CACHE) == before
+
+
+def test_swap_table_is_a_registered_cache_rebuilt_after_corruption():
+    assert any(c is uea._SWAP_CACHE for c in caches._REGISTRY)
+    # x+_1 h_1 = h_1 x+_1 - [h_1, x+_1] = h_1 x+_1 - 2 x+_2
+    word = from_lie(xplus(1)).convolve(from_lie(h(1)))
+    target = (BasisElement(Kind.XPLUS, 2),)
+    assert pbw_normal_form(word).coeffs[target] == -2
+    assert uea._SWAP_CACHE
+    caches.clear_all()
+    assert not uea._SWAP_CACHE
+    original = lie._H_X_SCALE
+    try:
+        lie._H_X_SCALE = Fraction(3)
+        caches.clear_all()
+        assert pbw_normal_form(word).coeffs[target] == -3
+    finally:
+        lie._H_X_SCALE = original
+        caches.clear_all()
+    assert pbw_normal_form(word).coeffs[target] == -2
