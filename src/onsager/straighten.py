@@ -434,11 +434,12 @@ def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
         for word, c in picked.items():
             corr[word] = corr.get(word, 0) + c
             # the word's expansion has denominators dividing d!, and d < k+m
+            s = scale * c
             for w, v in expand_word(word).items():
-                v *= scale * c
-                if v.denominator != 1:
-                    raise ArithmeticError(f"non-integral scaled expansion {v} of {word}")
-                v = remainder.get(w, 0) - v.numerator
+                v, r = divmod(s * v.numerator, v.denominator)
+                if r:
+                    raise ArithmeticError(f"{word} expands with a denominator beyond {scale}")
+                v = remainder.get(w, 0) - v
                 if v:
                     remainder[w] = v
                 else:
