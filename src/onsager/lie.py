@@ -70,9 +70,10 @@ class LinComb:
     def items(self):
         return self.coeffs.items()
 
-    def __add__(self, other):
+    def _merged(self, terms):
+        """Sum with (key, coefficient) terms; drops only what cancels."""
         out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
+        for k, c in terms:
             old = out.get(k)
             if old is None:
                 out[k] = c
@@ -84,19 +85,11 @@ class LinComb:
                 del out[k]
         return self._of(out)
 
+    def __add__(self, other):
+        return self._merged(other.coeffs.items())
+
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            old = out.get(k)
-            if old is None:
-                out[k] = -c
-                continue
-            c = old - c
-            if c:
-                out[k] = c
-            else:
-                del out[k]
-        return self._of(out)
+        return self._merged((k, -c) for k, c in other.coeffs.items())
 
     def __neg__(self):
         return self._of({k: -c for k, c in self.coeffs.items()})
