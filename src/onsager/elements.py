@@ -107,8 +107,8 @@ def bracket_x_lambda1(k: int, j: int, l: int) -> LieElement:
     )
 
 
+# (j, l, k, True) -> k! Lambda_{j,l,k}, (j, l, k, False) -> Lambda_{j,l,k}
 _LAMBDA_CACHE: dict = caches.register({})
-_LAMBDA_NUM_CACHE: dict = caches.register({})
 
 
 def lambda_num(j: int, l: int, k: int) -> UEAElement:
@@ -123,8 +123,8 @@ def lambda_num(j: int, l: int, k: int) -> UEAElement:
         return UEA_ZERO
     if k == 0:
         return UEA_ONE
-    key = (j, l, k)
-    got = _LAMBDA_NUM_CACHE.get(key)
+    key = (j, l, k, True)
+    got = _LAMBDA_CACHE.get(key)
     if got is None:
         acc = UEA_ZERO
         ratio = 1  # (k-1)!/(k-i)!
@@ -132,7 +132,7 @@ def lambda_num(j: int, l: int, k: int) -> UEAElement:
             acc = acc + commutative_multiply(
                 from_lie(p_def(i, j, l)).scale(ratio), lambda_num(j, l, k - i))
             ratio *= k - i
-        got = _LAMBDA_NUM_CACHE[key] = -acc
+        got = _LAMBDA_CACHE[key] = -acc
     return got
 
 
@@ -143,7 +143,7 @@ def lambda_rec(j: int, l: int, k: int) -> UEAElement:
     """
     if k <= 0:
         return lambda_num(j, l, k)
-    key = (j, l, k)
+    key = (j, l, k, False)
     got = _LAMBDA_CACHE.get(key)
     if got is None:
         got = _LAMBDA_CACHE[key] = lambda_num(j, l, k).divide(math.factorial(k))

@@ -39,11 +39,8 @@ class LinComb:
 
     The one sparse type behind every element of the package: Lie
     elements, PBW words, ordered monomials and Laurent polynomials all
-    store ``coeffs`` as a plain dict that never holds a zero coefficient,
-    so that equal elements have equal dicts.  The public constructor
-    filters; the arithmetic filters only where a sum can cancel (``+``,
-    ``-`` and :meth:`convolve`), since negating, scaling by a nonzero
-    value or dividing cannot make a coefficient zero.  Arithmetic
+    store ``coeffs`` as a plain dict, with zero coefficients dropped at
+    construction so that equal elements have equal dicts.  Arithmetic
     returns the operand's own subclass, and equality is type-exact, so
     two kinds of element never compare equal by accident.  Coefficients
     are used as they come: integers stay ``int``, and a ``Fraction``
@@ -56,13 +53,6 @@ class LinComb:
     def __init__(self, coeffs: dict | None = None):
         self.coeffs = {k: c for k, c in (coeffs or {}).items() if c}
 
-    @classmethod
-    def _of(cls, coeffs: dict):
-        """Wrap a dict that holds no zero coefficient, without filtering."""
-        out = cls.__new__(cls)
-        out.coeffs = coeffs
-        return out
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -70,34 +60,25 @@ class LinComb:
     def items(self):
         return self.coeffs.items()
 
-    def _merged(self, terms):
-        """Sum with (key, coefficient) terms; drops only what cancels."""
-        out = dict(self.coeffs)
-        for k, c in terms:
-            old = out.get(k)
-            if old is None:
-                out[k] = c
-                continue
-            c = old + c
-            if c:
-                out[k] = c
-            else:
-                del out[k]
-        return self._of(out)
-
     def __add__(self, other):
-        return self._merged(other.coeffs.items())
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            old = out.get(k)
+            out[k] = c if old is None else old + c
+        return type(self)(out)
 
     def __sub__(self, other):
-        return self._merged((k, -c) for k, c in other.coeffs.items())
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            old = out.get(k)
+            out[k] = -c if old is None else old - c
+        return type(self)(out)
 
     def __neg__(self):
-        return self._of({k: -c for k, c in self.coeffs.items()})
+        return type(self)({k: -c for k, c in self.coeffs.items()})
 
     def scale(self, c):
-        if not c:
-            return type(self)()
-        return self._of({k: c * v for k, v in self.coeffs.items()})
+        return type(self)({k: c * v for k, v in self.coeffs.items()})
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -112,7 +93,7 @@ class LinComb:
         for k, v in self.coeffs.items():
             q = Fraction(v, d)
             out[k] = q.numerator if q.denominator == 1 else q
-        return self._of(out)
+        return type(self)(out)
 
     def convolve(self, other):
         """Keyed product: keys combine by ``+`` (tuples concatenate,

@@ -342,7 +342,9 @@ _MERGE_CACHE: dict = caches.register({})
 def _y_coordinates(component: dict, den: int = 1) -> dict:
     """Homogeneous h-polynomial -> ordinary monomial coords in the Y_i.
 
-    Input maps sorted h-index tuples to coefficients, all over ``den``.
+    Input maps sorted h-index tuples to coefficients, all over ``den``:
+    :func:`merge_lambda_pair` passes the (k+m)! by which it keeps its
+    remainder integral, not a tuning value.
     A ring map: each letter is substituted once, as
     h_i = h_parity + Y_i + Y_{i-2} + ..., and word prefixes expand with
     merging; raises NoLambdaExpression if any h_0/h_1 content survives.

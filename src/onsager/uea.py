@@ -100,15 +100,22 @@ def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict
 
 
 _NF_CACHE: dict[Word, dict[Word, int]] = caches.register({})
-_SWAP_CACHE: dict[Word, dict[Word, int]] = caches.register({})
 
 
 def _swap(a: BasisElement, b: BasisElement) -> dict:
-    """ab = ba + [a,b], memoized per pair; the entries are read-only."""
-    got = _SWAP_CACHE.get((a, b))
+    """ab = ba + [a,b]."""
+    return {(b, a): 1, **{(g,): c for g, c in bracket_basis(a, b).items()}}
+
+
+def _cached_swap(a: BasisElement, b: BasisElement) -> dict:
+    """:func:`_swap` memoized in ``_NF_CACHE``.
+
+    For a > b the ascent ba and single letters are normal, so ba + [a,b]
+    is the normal form of the word ab and is stored under it.
+    """
+    got = _NF_CACHE.get((a, b))
     if got is None:
-        got = _SWAP_CACHE[a, b] = {
-            (b, a): 1, **{(g,): c for g, c in bracket_basis(a, b).items()}}
+        got = _NF_CACHE[a, b] = _swap(a, b)
     return got
 
 
@@ -116,13 +123,14 @@ def pbw_normal_form(a: UEAElement, strategy: str = "leftmost") -> UEAElement:
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rightmost = strategy == "rightmost"
-    memo = {} if rightmost else _NF_CACHE  # the oracle route shares no entries
+    # the oracle route shares no entries, not even the swap rule's
+    memo, rule = ({}, _swap) if rightmost else (_NF_CACHE, _cached_swap)
     # word normal forms are integral: sum in ints over one common denominator
     den = math.lcm(*(c.denominator for c in a.coeffs.values()))
     out: dict = {}
     for w, c in a.coeffs.items():
         n = c.numerator * (den // c.denominator)
-        for ww, cc in rewrite(w, operator.gt, _swap, memo, rightmost).items():
+        for ww, cc in rewrite(w, operator.gt, rule, memo, rightmost).items():
             out[ww] = out.get(ww, 0) + n * cc
     return UEAElement(out).divide(den)
 

@@ -117,7 +117,7 @@ def _chk_I5(j, l, r, k, m, n) -> Check:
     if pbw_normal_form(multiply(a, b) - multiply(b, a)).is_zero:
         return True, None
     a, b = lambda_rec(j, l, r), lambda_rec(k, m, n)
-    return _eq_u(multiply(a, b), multiply(b, a))
+    return False, (pbw_normal_form(multiply(a, b)), pbw_normal_form(multiply(b, a)))
 
 
 def _chk_I6(sign, j, r, s) -> Check:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+from onsager import caches, elements, lie
 from onsager.lie import bracket, h, xminus, xplus
 from onsager.uea import equal, pbw_normal_form
 from onsager.elements import (
@@ -90,6 +91,22 @@ def test_integer_lambda_is_k_factorial_lambda():
                 assert all(type(c) is int for c in n.coeffs.values())
                 assert n == lambda_series(j, l, k).scale(math.factorial(k))
                 assert lambda_rec(j, l, k) == lambda_series(j, l, k)
+
+
+def test_integer_lambda_is_flushed_with_the_bracket_table():
+    # lambda_num is built from p_def, which reads the [h, x] constant
+    caches.clear_all()
+    true = lambda_num(1, 1, 2)
+    assert elements._LAMBDA_CACHE[1, 1, 2, True] is true
+    original = lie._H_X_SCALE
+    try:
+        lie._H_X_SCALE = Fraction(3)
+        caches.clear_all()
+        assert lambda_num(1, 1, 2) != true
+    finally:
+        lie._H_X_SCALE = original
+        caches.clear_all()
+    assert lambda_num(1, 1, 2) == true
 
 
 def test_lambda_degenerate_orders():

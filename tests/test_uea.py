@@ -167,15 +167,17 @@ def test_rightmost_keeps_out_of_the_cache():
     assert len(uea._NF_CACHE) == before
 
 
-def test_swap_table_is_a_registered_cache_rebuilt_after_corruption():
-    assert any(c is uea._SWAP_CACHE for c in caches._REGISTRY)
+def test_swap_table_lives_in_the_normal_form_cache_rebuilt_after_corruption():
+    assert any(c is uea._NF_CACHE for c in caches._REGISTRY)
     # x+_1 h_1 = h_1 x+_1 - [h_1, x+_1] = h_1 x+_1 - 2 x+_2
+    a, b = BasisElement(Kind.XPLUS, 1), BasisElement(Kind.H, 1)
     word = from_lie(xplus(1)).convolve(from_lie(h(1)))
     target = (BasisElement(Kind.XPLUS, 2),)
-    assert pbw_normal_form(word).coeffs[target] == -2
-    assert uea._SWAP_CACHE
     caches.clear_all()
-    assert not uea._SWAP_CACHE
+    assert pbw_normal_form(word).coeffs[target] == -2
+    assert uea._NF_CACHE[a, b] == uea._swap(a, b)
+    caches.clear_all()
+    assert not uea._NF_CACHE
     original = lie._H_X_SCALE
     try:
         lie._H_X_SCALE = Fraction(3)
@@ -185,3 +187,14 @@ def test_swap_table_is_a_registered_cache_rebuilt_after_corruption():
         lie._H_X_SCALE = original
         caches.clear_all()
     assert pbw_normal_form(word).coeffs[target] == -2
+
+
+def test_rightmost_swaps_without_the_cache():
+    # a pair the leftmost route stores only through its swap rule
+    a, b = BasisElement(Kind.XPLUS, 3), BasisElement(Kind.XMINUS, 2)
+    word = (BasisElement(Kind.H, 4), a, b)
+    caches.clear_all()
+    pbw_normal_form(UEAElement({word: 1}), "rightmost")
+    assert not uea._NF_CACHE
+    pbw_normal_form(UEAElement({word: 1}))
+    assert uea._NF_CACHE[a, b] == uea._swap(a, b)

@@ -1,11 +1,13 @@
 from fractions import Fraction
 import hashlib
+import math
 
 import pytest
 
 import onsager.lie as lie
-from onsager import caches, uea
-from onsager.lie import LinComb
+from onsager import caches, uea, verify
+from onsager.lie import LinComb, bracket, xminus, xplus
+from onsager.uea import from_lie, multiply, pbw_normal_form
 from onsager.verify import (
     CATALOG,
     SuiteConfig,
@@ -126,6 +128,23 @@ def test_suite_recovers_after_corruption_fixture(corrupted_bracket):
 def test_suite_green_after_recovery():
     # ... and after fixture teardown everything passes again
     assert run_suite(SuiteConfig(max_index=1, max_order=2, tags=("I7",))).all_pass
+
+
+def test_i5_failure_reports_both_products(monkeypatch):
+    # Lambdas always commute, so stand non-commuting letters in for them:
+    # order 1 of (1, 1) is x+_1 and order 1 of (2, 2) is x-_2
+    def fake_rec(j, l, k):
+        return from_lie(xplus(j) if j == 1 else xminus(j))
+
+    monkeypatch.setattr(verify, "lambda_rec", fake_rec)
+    monkeypatch.setattr(verify, "lambda_num",
+                        lambda j, l, k: fake_rec(j, l, k).scale(math.factorial(k)))
+    passed, (lhs, rhs) = verify._chk_I5(j=1, l=1, r=1, k=2, m=2, n=1)
+    assert not passed
+    a, b = from_lie(xplus(1)), from_lie(xminus(2))
+    assert lhs == pbw_normal_form(multiply(a, b))
+    assert rhs == pbw_normal_form(multiply(b, a))
+    assert lhs - rhs == pbw_normal_form(from_lie(bracket(xplus(1), xminus(2))))
 
 
 def test_audit_span_examples():
