@@ -188,13 +188,3 @@ def test_swap_table_lives_in_the_normal_form_cache_rebuilt_after_corruption():
         caches.clear_all()
     assert pbw_normal_form(word).coeffs[target] == -2
 
-
-def test_rightmost_swaps_without_the_cache():
-    # a pair the leftmost route stores only through its swap rule
-    a, b = BasisElement(Kind.XPLUS, 3), BasisElement(Kind.XMINUS, 2)
-    word = (BasisElement(Kind.H, 4), a, b)
-    caches.clear_all()
-    pbw_normal_form(UEAElement({word: 1}), "rightmost")
-    assert not uea._NF_CACHE
-    pbw_normal_form(UEAElement({word: 1}))
-    assert uea._NF_CACHE[a, b] == uea._swap(a, b)
