@@ -11,6 +11,12 @@ byte-identical across runs with the same configuration.
 The environment variable ``ONSAGER_CONFIG`` may point to a key=value
 file providing defaults for the verify options (``max_index``,
 ``max_order``, ``tags``, ``jobs``, ``format``).
+
+``main(argv)`` may be called repeatedly from one process.  Each call
+reads the config file again; the argument parser is built once per
+distinct set of config defaults, on first use, and kept.  JSON is
+written in pieces by the C encoder, with the same bytes as one
+``json.dumps(payload, sort_keys=True, separators=(",", ":"))``.
 """
 
 from __future__ import annotations
@@ -91,9 +97,34 @@ def report_to_json(report: SuiteReport) -> dict:
     }
 
 
-def _emit_json(payload) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write("\n")
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _emit_json(payload: dict) -> None:
+    """Write ``payload`` as sorted compact JSON and a newline.
+
+    ``json.dump`` always runs the pure-Python encoder, so each top-level
+    key, each non-list value and each item of a list value is encoded
+    with the C one and written at once; encoding the whole payload in one
+    string would hold every chunk of a large verify report together.
+    """
+    write = sys.stdout.write
+    write("{")
+    sep = ""
+    for key in sorted(payload):
+        write(f"{sep}{_ENCODE(key)}:")
+        sep = ","
+        value = payload[key]
+        if isinstance(value, list):
+            write("[")
+            item_sep = ""
+            for item in value:
+                write(item_sep + _ENCODE(item))
+                item_sep = ","
+            write("]")
+        else:
+            write(_ENCODE(value))
+    write("}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +214,14 @@ def cmd_coords(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tags = tuple(t for t in CATALOG if t in set(args.suite.split(","))) \
-        if args.suite else CATALOG
+    tags = CATALOG
     if args.suite:
-        requested = [t for t in args.suite.split(",") if t]
-        unknown = [t for t in requested if t not in CATALOG]
+        requested = args.suite.split(",")
+        unknown = [t for t in requested if t and t not in CATALOG]
         if unknown:
             print(f"error: unknown tags: {','.join(unknown)}", file=sys.stderr)
             return 2
+        tags = tuple(t for t in CATALOG if t in requested)
     cfg = SuiteConfig(max_index=args.max_index, max_order=args.max_order,
                       tags=tags, jobs=args.jobs, format=args.format)
     report = run_suite(cfg)
@@ -324,13 +355,22 @@ def build_parser(defaults: dict) -> _ArgumentParser:
     return parser
 
 
+# parsers by config defaults, built on first use (not at import); parsing
+# leaves a parser unchanged and usage lines take COLUMNS when printed, so
+# one parser serves every call with the same defaults
+_PARSERS: dict[tuple, _ArgumentParser] = {}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         defaults = _load_config_defaults()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser = build_parser(defaults)
+    key = tuple(sorted(defaults.items()))
+    parser = _PARSERS.get(key)
+    if parser is None:
+        parser = _PARSERS[key] = build_parser(defaults)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -2,12 +2,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from onsager import cli
 from onsager.cli import main
 from onsager.expr import (
     Bracket,
@@ -32,6 +37,7 @@ from onsager.straighten import (
     normalize_to_basis,
 )
 from onsager.uea import equal, pbw_normal_form
+from onsager.verify import InstanceResult, SuiteConfig, SuiteReport
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +271,107 @@ def test_config_file_malformed(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ONSAGER_CONFIG", str(cfg))
     assert main(["verify"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_verify_suite_tags_keep_catalog_order(capsys):
+    assert main(["verify", "--suite", "XKL1,,I6", "--max-index", "1",
+                 "--max-order", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["tags"] == ["I6", "XKL1"]
+    assert main(["verify", "--suite", "NOPE,I6,,ZAP"]) == 2
+    assert capsys.readouterr().err == "error: unknown tags: NOPE,ZAP\n"
+
+
+# ---------------------------------------------------------------------------
+# warm front end: one parser per config, JSON written in pieces
+
+def test_parser_built_once_per_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    built = []
+    build_parser = cli.build_parser
+
+    def counting(defaults):
+        built.append(dict(defaults))
+        return build_parser(defaults)
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    seen = []
+
+    def fake_run_suite(cfg):
+        seen.append(cfg)
+        return SuiteReport(cfg, [])
+
+    monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+    config_a, config_b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    config_a.write_text("max_index = 2\ntags = I6\nformat = json\n", encoding="utf-8")
+    config_b.write_text("max_index = 1\ntags = XKL1\nformat = json\n", encoding="utf-8")
+
+    def run(config):
+        if config is None:
+            monkeypatch.delenv("ONSAGER_CONFIG", raising=False)
+        else:
+            monkeypatch.setenv("ONSAGER_CONFIG", str(config))
+        assert main(["verify"]) == 0
+        return capsys.readouterr().out
+
+    for _ in range(2):
+        assert json.loads(run(config_a))["config"] == {
+            "max_index": 2, "max_order": 3, "tags": ["I6"], "format": "json"}
+        assert json.loads(run(config_b))["config"] == {
+            "max_index": 1, "max_order": 3, "tags": ["XKL1"], "format": "json"}
+        assert run(None) == "summary: pass=0 fail=0\n"
+        assert seen[-1] == SuiteConfig()
+    assert built == [{"max_index": 2, "suite": "I6", "format": "json"},
+                     {"max_index": 1, "suite": "XKL1", "format": "json"}, {}]
+    # a changed file is a new config and gets its own parser
+    config_a.write_text("max_index = 2\nmax_order = 1\ntags = I6\nformat = json\n",
+                        encoding="utf-8")
+    assert json.loads(run(config_a))["config"]["max_order"] == 1
+    assert len(built) == 4
+    # a malformed config still exits 2, before any parser is looked up
+    config_b.write_text("what even is this\n", encoding="utf-8")
+    monkeypatch.setenv("ONSAGER_CONFIG", str(config_b))
+    assert main(["verify"]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed line")
+    assert len(built) == 4
+
+
+def test_no_parser_built_at_import():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import onsager.cli as cli; print(len(cli._PARSERS))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
+    assert out == "0\n"
+
+
+def test_emit_json_matches_one_dumps(monkeypatch, capsys):
+    payloads = []  # what each command hands to _emit_json
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_emit_json", payloads.append)
+        for argv in (
+            ["normalize", "h(1)-h(1)"],
+            ["normalize", "dp(xp(3),3)*lam(3,3,3)*dp(xm(3),2)"],
+            ["audit", "span", "--parity", "even", "--cutoff", "6"],
+            ["audit", "theorem", "--mdegree", "1", "--index", "1"],
+            ["audit", "theorem", "--mdegree", "2", "--index", "2"],
+            ["coords", "h(1)-h(1)", "--mdegree", "1", "--index", "1"],
+            ["coords", "xp(1)*xm(1)", "--mdegree", "2", "--index", "1"],
+        ):
+            assert main(argv + ["--format", "json"]) == 0, argv
+    assert payloads[0] == {"words": []}
+    assert len(payloads[1]["words"]) > 100
+    assert payloads[3]["collisions"] == [] and payloads[5]["coordinates"] == []
+    report = SuiteReport(SuiteConfig(max_index=1, max_order=1, tags=("I5", "I6")), [
+        InstanceResult("I5", {"j": 1}, True, None, 0.5),
+        InstanceResult("I6", {"j": 1, "sign": -1}, False,
+                       (pbw_normal_form(evaluate(parse("xp(1)*xm(1)"))),
+                        pbw_normal_form(evaluate(parse("-3/2*h(2)")))), 0.5),
+    ])
+    payloads.append(cli.report_to_json(report))
+    assert sum(r["counterexample"] is not None for r in payloads[-1]["results"]) == 1
+    for payload in payloads:
+        cli._emit_json(payload)
+        assert capsys.readouterr().out == json.dumps(
+            payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -26,3 +26,16 @@ def test_golden_cli(case, monkeypatch):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(case["argv"])
     assert (code, out.getvalue(), err.getvalue()) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_golden_cli_warm_reuse(monkeypatch):
+    """The whole corpus twice over in one process: no state leaks between calls."""
+    monkeypatch.delenv("ONSAGER_CONFIG", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        for case in CORPUS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(case["argv"])
+            assert (code, out.getvalue(), err.getvalue()) == \
+                (case["exit"], case["stdout"], case["stderr"]), case["argv"]
