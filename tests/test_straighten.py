@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from onsager.straighten import (
     merge_lambda_pair,
     mform_coordinates,
     monomial,
+    monomial_to_text,
     move_x_past_lambda,
     normalize_to_basis,
     straighten_plus_minus,
@@ -211,6 +213,18 @@ def test_enumerate_basis_deterministic():
     assert enumerate_basis(2, 2) == enumerate_basis(2, 2)
     words = enumerate_basis(2, 2)
     assert all(mdegree(w) <= 2 for w in words)
+
+
+@pytest.mark.parametrize("bounds, count, digest", [
+    ((3, 3), 455, "f2942a0ee607bf3a30792b5efaf8ceaf5b7a51fdc56d90f46c4fb5f4cbff333f"),
+    ((4, 2), 330, "880b963d92154f1767a93ef51e3afb06905fa2fb516a85ceeec097b2f241c8c4"),
+    ((2, 4), 190, "0ea0575253cac36a6de475929d301d19dd915683b5023cdac351da61a1c03ef0"),
+])
+def test_enumerate_basis_order_is_pinned(bounds, count, digest):
+    # candidate order fixes column order in the audits: report bytes
+    texts = [monomial_to_text(w) for w in enumerate_basis(*bounds)]
+    assert len(texts) == count
+    assert hashlib.sha256(repr(texts).encode()).hexdigest() == digest
 
 
 def test_coordinates_example():
