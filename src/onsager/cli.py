@@ -130,6 +130,9 @@ def _emit_json(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # Config file
 
+_FORMATS = ("text", "json")
+
+
 def _load_config_defaults() -> dict:
     path = os.environ.get(ENV_CONFIG)
     if not path:
@@ -149,6 +152,8 @@ def _load_config_defaults() -> dict:
                 elif key == "tags":
                     defaults["suite"] = value
                 elif key == "format":
+                    if value not in _FORMATS:
+                        raise ValueError(f"unknown format: {value}")
                     defaults["format"] = value
                 else:
                     raise ValueError(f"unknown key: {key!r}")
@@ -302,7 +307,7 @@ def build_parser(defaults: dict) -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def fmt(p):
-        p.add_argument("--format", choices=("text", "json"),
+        p.add_argument("--format", choices=_FORMATS,
                        default=defaults.get("format", "text"))
 
     p = sub.add_parser("normalize", help="PBW normal form of an expression")

@@ -16,10 +16,10 @@ from .uea import (
     UEA_ONE,
     UEA_ZERO,
     UEAElement,
-    commutative_multiply,
     divided_power,
     from_lie,
     multiply,
+    pbw_normal_form,
 )
 
 
@@ -129,8 +129,8 @@ def lambda_num(j: int, l: int, k: int) -> UEAElement:
         acc = UEA_ZERO
         ratio = 1  # (k-1)!/(k-i)!
         for i in range(1, k + 1):
-            acc = acc + commutative_multiply(
-                from_lie(p_def(i, j, l)).scale(ratio), lambda_num(j, l, k - i))
+            acc = acc + pbw_normal_form(multiply(
+                from_lie(p_def(i, j, l)).scale(ratio), lambda_num(j, l, k - i)))
             ratio *= k - i
         got = _LAMBDA_CACHE[key] = -acc
     return got
@@ -169,7 +169,7 @@ def lambda_series(j: int, l: int, k: int) -> UEAElement:
             for d2 in range(1, k + 1 - d1):
                 if inner[d2].is_zero:
                     continue
-                new[d1 + d2] = new[d1 + d2] + commutative_multiply(term[d1], inner[d2])
+                new[d1 + d2] = new[d1 + d2] + pbw_normal_form(multiply(term[d1], inner[d2]))
         term = [e.divide(m) for e in new]
         for d in range(k + 1):
             result[d] = result[d] + term[d]

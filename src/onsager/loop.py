@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lie import BasisElement, Kind, LieElement, LinComb
+from .lie import BasisElement, Kind, LieElement, LinComb, bracket, generator
 
 FR0 = Fraction(0)
 FR1 = Fraction(1)
@@ -186,8 +186,6 @@ def verify_structure_constants(max_index: int):
     """Compare the abstract bracket with the matrix commutator on all
     basis pairs with indices up to ``max_index``.  Returns a list of
     failing (a, b) pairs (empty on success)."""
-    from .lie import bracket, generator
-
     basis: list[BasisElement] = []
     for k in range(0, max_index + 1):
         basis.append(BasisElement(Kind.H, k))

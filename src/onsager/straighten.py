@@ -13,6 +13,8 @@ basis at a finite truncation.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,11 +57,17 @@ class AmbiguousSolution(Exception):
 
 # Frozen dataclasses rather than NamedTuples: the two factor kinds must
 # never compare equal even when their fields coincide numerically.
+# A factor's ``slot`` is its place in an ordered monomial: the block
+# (minus 0, Lambda 1, plus 2), then the generator index or Lambda pair.
 @dataclass(frozen=True)
 class XFactor:
     sign: int  # +1 or -1
     index: int
     order: int
+
+    @property
+    def slot(self) -> tuple:
+        return (1 + self.sign, self.index)
 
 
 @dataclass(frozen=True)
@@ -68,25 +76,13 @@ class LFactor:
     l: int
     order: int
 
+    @property
+    def slot(self) -> tuple:
+        return (1, self.j, self.l)
+
 
 Factor = Union[XFactor, LFactor]
 MWord = tuple  # tuple[Factor, ...]
-
-# Column position of each factor category in an ordered monomial.
-CAT_MINUS, CAT_LAMBDA, CAT_PLUS = 0, 1, 2
-
-
-def category(f: Factor) -> int:
-    if isinstance(f, LFactor):
-        return CAT_LAMBDA
-    return CAT_MINUS if f.sign < 0 else CAT_PLUS
-
-
-def factor_key(f: Factor):
-    """Sort key within a category block."""
-    if isinstance(f, LFactor):
-        return (f.j, f.l)
-    return (f.index,)
 
 
 def lfactor(j: int, l: int, k: int) -> LFactor:
@@ -102,7 +98,7 @@ def mdegree(word: MWord) -> int:
 
 def word_key(word: MWord):
     """Total order on factor words, for deterministic output."""
-    return tuple((category(f),) + factor_key(f) + (f.order,) for f in word)
+    return tuple(f.slot + (f.order,) for f in word)
 
 
 def monomial_to_text(word: MWord) -> str:
@@ -189,7 +185,8 @@ def divided_x(a: LieElement, v: int) -> MForm:
 
     Since the generators commute, the divided power multiplies out as a
     sum over compositions of v across the support, each generator
-    contributing c^{v_i} times its own divided power.
+    contributing c^{v_i} times its own divided power; each composition
+    gives one distinct word.
     """
     if v < 0:
         return M_ZERO
@@ -206,22 +203,29 @@ def divided_x(a: LieElement, v: int) -> MForm:
     else:
         raise ValueError("divided_x needs a one-sided x combination")
     support = sorted(support, key=lambda b: b.index)
+    n = len(support)
     out: dict = {}
-
-    def go(pos: int, remaining: int, coeff, word: list) -> None:
-        if pos == len(support) - 1:
-            b = support[pos]
-            c = coeff * a.coeffs[b] ** remaining
-            w = tuple(word + ([XFactor(sign, b.index, remaining)] if remaining else []))
-            out[w] = out.get(w, 0) + c
-            return
-        b = support[pos]
-        for k in range(remaining + 1):
-            nxt = word + ([XFactor(sign, b.index, k)] if k else [])
-            go(pos + 1, remaining - k, coeff * a.coeffs[b] ** k, nxt)
-
-    go(0, v, 1, [])
+    # stars and bars: n - 1 cuts among v + n - 1 places, parts in lex order
+    for cuts in itertools.combinations(range(v + n - 1), n - 1):
+        parts = [hi - lo - 1 for lo, hi in zip((-1, *cuts), (*cuts, v + n - 1))]
+        word = tuple(XFactor(sign, b.index, k) for b, k in zip(support, parts) if k)
+        out[word] = math.prod(a.coeffs[b] ** k for b, k in zip(support, parts))
     return MForm(out)
+
+
+def _ladder(layer, weight: int, total: int) -> MForm:
+    """Sum over exponent tuples (k_0..k_weight) with total ``total`` and
+    weight ``weight`` of the products of ``divided_x(layer(i), k_i)``."""
+    out = M_ZERO
+    for ks in exponent_tuples(weight, total):
+        term = M_ONE
+        for i, k in enumerate(ks):
+            if k:
+                term = term * divided_x(layer(i), k)
+                if term.is_zero:
+                    break
+        out = out + term
+    return out
 
 
 _DUV_MFORM: dict = caches.register({})
@@ -239,20 +243,9 @@ def duv_mform(sign: int, u: int, v: int, j: int, l: int) -> MForm:
         return M_ONE if u == 0 else M_ZERO
     key = (sign, u, v, j, l)
     got = _DUV_MFORM.get(key)
-    if got is not None:
-        return got
-    out = M_ZERO
-    for ks in exponent_tuples(u, v):
-        term = M_ONE
-        for i, k in enumerate(ks):
-            if k == 0:
-                continue
-            term = term * divided_x(d1_closed(sign, i, j, l), k)
-            if term.is_zero:
-                break
-        out = out + term
-    _DUV_MFORM[key] = out
-    return out
+    if got is None:
+        got = _DUV_MFORM[key] = _ladder(lambda i: d1_closed(sign, i, j, l), u, v)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -287,36 +280,21 @@ def straighten_plus_minus(j: int, r: int, l: int, s: int) -> MForm:
     return out
 
 
-def move_x_past_lambda(side: str, x_index: int, r: int,
+def move_x_past_lambda(sign: int, x_index: int, r: int,
                        pair: tuple[int, int], n: int) -> MForm:
     """Commute a divided x power through a Lambda factor.
 
-    side "plusLeft" rewrites (x+)^{(r)} L_{k,m,n} with the Lambda factors
-    emerging on the left; side "minusRight" rewrites L_{k,m,n} (x-)^{(s)}
-    with them on the right.
+    sign +1 rewrites (x+)^{(r)} L_{k,m,n} with the Lambda factors
+    emerging on the left; sign -1 rewrites L_{k,m,n} (x-)^{(r)} with them
+    on the right.  The ladder's layer u is (u+1) times the three-index D,
+    since divided_x(c a, v) = c^v divided_x(a, v).
     """
     k, m = pair
-    if side not in ("plusLeft", "minusRight"):
-        raise ValueError(f"unknown side {side!r}")
-    sign = 1 if side == "plusLeft" else -1
     out = M_ZERO
     for i in range(n + 1):
         lam = monomial(lfactor(k, m, n - i)) if n - i else M_ONE
-        inner = M_ZERO
-        for vs in exponent_tuples(i, r):
-            term = M_ONE
-            for u, vu in enumerate(vs):
-                if vu == 0:
-                    continue
-                block = divided_x(d_triple(sign, u, x_index, k, m), vu)
-                term = term * block.scale((u + 1) ** vu)
-                if term.is_zero:
-                    break
-            inner = inner + term
-        if sign > 0:
-            out = out + lam * inner
-        else:
-            out = out + inner * lam
+        inner = _ladder(lambda u: d_triple(sign, u, x_index, k, m).scale(u + 1), i, r)
+        out = out + (lam * inner if sign > 0 else inner * lam)
     return out
 
 
@@ -413,11 +391,11 @@ def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
             c0 = Fraction(remainder[()], scale)
             if c0.denominator != 1:
                 raise NoLambdaExpression(f"non-integral constant term {c0}")
-            corr[()] = corr.get((), 0) + c0.numerator
+            corr[()] = c0.numerator
             break
         component = {tuple(b.index for b in w): c
                      for w, c in remainder.items() if len(w) == d}
-        picked: dict = {}
+        # distinct Y-monomials give distinct words, all of mdegree d
         for ys, c in _y_coordinates(component, scale).items():
             mult: dict[int, int] = {}
             for t in ys:
@@ -431,12 +409,9 @@ def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
                     f"non-integral Y-coordinate {c_div} at {ys} merging "
                     f"orders ({k},{m}) on pair ({j},{l})")
             word = tuple(LFactor(t - 1, 1, q) for t, q in sorted(mult.items()))
-            coeff = c_div.numerator if d % 2 == 0 else -c_div.numerator
-            picked[word] = picked.get(word, 0) + coeff
-        for word, c in picked.items():
-            corr[word] = corr.get(word, 0) + c
+            coeff = corr[word] = c_div.numerator if d % 2 == 0 else -c_div.numerator
             # the word's expansion has denominators dividing d!, and d < k+m
-            s = scale * c
+            s = scale * coeff
             for w, v in expand_word(word).items():
                 v, r = divmod(s * v.numerator, v.denominator)
                 if r:
@@ -455,27 +430,22 @@ def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
 # Normalization.
 
 def _out_of_order(a: Factor, b: Factor) -> bool:
-    ca, cb = category(a), category(b)
-    return ca > cb or (ca == cb and factor_key(a) >= factor_key(b))
+    return a.slot >= b.slot
 
 
 def _rewrite_pair(a: Factor, b: Factor) -> MForm:
-    ca, cb = category(a), category(b)
-    if ca == cb:
-        if ca == CAT_LAMBDA:
-            if (a.j, a.l) == (b.j, b.l):
-                return merge_lambda_pair(a.j, a.l, a.order, b.order)
-            return monomial(b, a)
-        if a.index == b.index:
-            c, f = straighten_same_x(a.sign, a.index, a.order, b.order)
-            return monomial(f).scale(c)
+    if a.slot == b.slot:
+        if isinstance(a, LFactor):
+            return merge_lambda_pair(a.j, a.l, a.order, b.order)
+        c, f = straighten_same_x(a.sign, a.index, a.order, b.order)
+        return monomial(f).scale(c)
+    if a.slot[0] == b.slot[0]:
         return monomial(b, a)
-    if ca == CAT_PLUS and cb == CAT_MINUS:
-        return straighten_plus_minus(a.index, a.order, b.index, b.order)
-    if ca == CAT_PLUS and cb == CAT_LAMBDA:
-        return move_x_past_lambda("plusLeft", a.index, a.order, (b.j, b.l), b.order)
-    # remaining case: Lambda before a minus factor
-    return move_x_past_lambda("minusRight", b.index, b.order, (a.j, a.l), a.order)
+    if isinstance(a, LFactor):  # Lambda before a minus factor
+        return move_x_past_lambda(-1, b.index, b.order, (a.j, a.l), a.order)
+    if isinstance(b, LFactor):
+        return move_x_past_lambda(1, a.index, a.order, (b.j, b.l), b.order)
+    return straighten_plus_minus(a.index, a.order, b.index, b.order)
 
 
 def normalize_to_basis(m: MForm) -> MForm:
@@ -502,39 +472,25 @@ def enumerate_basis(max_mdegree: int, max_index: int) -> list[MWord]:
     """All ordered monomials within the truncation, deterministically.
 
     Slots are the minus indices, the canonical Lambda pairs, and the
-    plus indices; a monomial assigns a nonnegative order to each slot
-    with total at most max_mdegree.
+    plus indices, in slot order; a monomial assigns a nonnegative order
+    to each slot with total at most max_mdegree.
     """
     if max_mdegree < 0 or max_index < 1:
         raise ValueError("bounds must be positive")
-    slots: list = []
-    for i in range(1, max_index + 1):
-        slots.append(("xm", i))
-    for j in range(1, max_index + 1):
-        for l in range(1, j + 1):
-            slots.append(("lam", j, l))
-    for i in range(1, max_index + 1):
-        slots.append(("xp", i))
+    indices = range(1, max_index + 1)
+    # each slot as its factor with the order left open
+    slots = ([functools.partial(XFactor, -1, i) for i in indices]
+             + [functools.partial(LFactor, j, l) for j in indices for l in range(1, j + 1)]
+             + [functools.partial(XFactor, 1, i) for i in indices])
 
-    out: list[MWord] = []
-
-    def build(pos: int, budget: int, word: list) -> None:
-        if pos == len(slots):
-            out.append(tuple(word))
-            return
-        slot = slots[pos]
-        for order in range(budget + 1):
-            if order == 0:
-                build(pos + 1, budget, word)
-            elif slot[0] == "lam":
-                build(pos + 1, budget - order, word + [LFactor(slot[1], slot[2], order)])
-            else:
-                sign = 1 if slot[0] == "xp" else -1
-                build(pos + 1, budget - order, word + [XFactor(sign, slot[1], order)])
-
-    build(0, max_mdegree, [])
-    out.sort(key=lambda w: (mdegree(w), len(w), word_key(w)))
-    return out
+    # words with their unspent budget, extended one slot at a time: no
+    # recursion, so the slot count is not bounded by the interpreter stack
+    partial = [((), max_mdegree)]
+    for slot in slots:
+        partial = [(word + (slot(order),) if order else word, budget - order)
+                   for word, budget in partial for order in range(budget + 1)]
+    return sorted((word for word, _ in partial),
+                  key=lambda w: (mdegree(w), len(w), word_key(w)))
 
 
 def _within_bounds(word: MWord, max_mdegree: int, max_index: int) -> bool:

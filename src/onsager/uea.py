@@ -163,14 +163,3 @@ def binomial(a: UEAElement | LieElement, k: int) -> UEAElement:
     for i in range(k):
         out = multiply(out, a - UEA_ONE.scale(i))
     return out.divide(math.factorial(k))
-
-
-def commutative_multiply(a: UEAElement, b: UEAElement) -> UEAElement:
-    """Product with eager sorting; only valid when all letters commute
-    (h-only elements, or x-elements of a single sign)."""
-    out: dict = {}
-    for wa, ca in a.coeffs.items():
-        for wb, cb in b.coeffs.items():
-            w = tuple(sorted(wa + wb))
-            out[w] = out.get(w, 0) + ca * cb
-    return UEAElement(out)

@@ -135,13 +135,13 @@ def _chk_I7(j, r, l, s) -> Check:
 
 def _chk_I8(j, r, k, m, n) -> Check:
     lhs = multiply(divided_power(xplus(j), r), lambda_rec(k, m, n))
-    rhs = expand(move_x_past_lambda("plusLeft", j, r, (k, m), n))
+    rhs = expand(move_x_past_lambda(1, j, r, (k, m), n))
     return _eq_u(lhs, rhs)
 
 
 def _chk_I9(l, s, k, m, n) -> Check:
     lhs = multiply(lambda_rec(k, m, n), divided_power(xminus(l), s))
-    rhs = expand(move_x_past_lambda("minusRight", l, s, (k, m), n))
+    rhs = expand(move_x_past_lambda(-1, l, s, (k, m), n))
     return _eq_u(lhs, rhs)
 
 

@@ -271,6 +271,14 @@ def test_config_file_malformed(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ONSAGER_CONFIG", str(cfg))
     assert main(["verify"]) == 2
     assert "error" in capsys.readouterr().err
+    # an unknown format is refused by every command, not only by verify
+    cfg.write_text("format = xml\n", encoding="utf-8")
+    for argv in (["normalize", "h(1)"], ["bracket", "xp(1)", "xm(1)"],
+                 ["coords", "h(1)", "--mdegree", "1", "--index", "1"], ["verify"],
+                 ["audit", "span", "--parity", "even", "--cutoff", "2"],
+                 ["audit", "theorem", "--mdegree", "1", "--index", "1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: unknown format: xml\n")
 
 
 def test_verify_suite_tags_keep_catalog_order(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onsager.elements import binom, lambda_rec
-from onsager.lie import h, xminus, xplus
+from onsager.lie import LIE_ZERO, h, xminus, xplus
 from onsager.uea import divided_power, equal, from_lie, multiply, pbw_normal_form
 from onsager.straighten import (
     AmbiguousSolution,
@@ -17,6 +17,7 @@ from onsager.straighten import (
     OutOfTruncation,
     XFactor,
     coordinates,
+    divided_x,
     enumerate_basis,
     expand,
     integrality_check,
@@ -79,10 +80,10 @@ def test_identity8_and_9_against_pbw():
     for r in range(3):
         for n in range(3):
             lhs = multiply(divided_power(xplus(1), r), lambda_rec(2, 1, n))
-            rhs = expand(move_x_past_lambda("plusLeft", 1, r, (2, 1), n))
+            rhs = expand(move_x_past_lambda(1, 1, r, (2, 1), n))
             assert equal(pbw_normal_form(lhs), pbw_normal_form(rhs))
             lhs = multiply(lambda_rec(2, 1, n), divided_power(xminus(1), r))
-            rhs = expand(move_x_past_lambda("minusRight", 1, r, (2, 1), n))
+            rhs = expand(move_x_past_lambda(-1, 1, r, (2, 1), n))
             assert equal(pbw_normal_form(lhs), pbw_normal_form(rhs))
 
 
@@ -207,6 +208,8 @@ def test_enumerate_basis_counts():
     assert len(enumerate_basis(1, 1)) == 4
     assert len(enumerate_basis(3, 3)) == 455
     assert enumerate_basis(0, 5) == [()]
+    # 1125 slots, more than the interpreter's default recursion limit
+    assert len(enumerate_basis(1, 45)) == 1 + 45 + 45 * 46 // 2 + 45
 
 
 def test_enumerate_basis_deterministic():
@@ -288,3 +291,17 @@ def test_property_plus_minus_straightening(j, l, r, s):
     lhs = multiply(divided_power(xplus(j), r), divided_power(xminus(l), s))
     rhs = expand(straighten_plus_minus(j, r, l, s))
     assert equal(pbw_normal_form(lhs), pbw_normal_form(rhs))
+
+
+_ONE_SIDED = st.builds(
+    lambda gen, coeffs: sum((gen(i).scale(c) for i, c in coeffs.items()), LIE_ZERO),
+    st.sampled_from([xplus, xminus]),
+    st.dictionaries(st.integers(1, 4), st.integers(-3, 3).filter(bool), min_size=1, max_size=4))
+
+
+@given(_ONE_SIDED, st.integers(0, 4), st.integers(-3, 3))
+@settings(deadline=None)
+def test_property_divided_x(a, v, c):
+    assert pbw_normal_form(expand(divided_x(a, v))) == pbw_normal_form(divided_power(a, v))
+    # the ladder sum moves a layer's weight inside the divided power by this
+    assert divided_x(a.scale(c), v) == divided_x(a, v).scale(c ** v)

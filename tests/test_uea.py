@@ -11,7 +11,6 @@ from onsager.uea import (
     UEA_ONE,
     UEA_ZERO,
     binomial,
-    commutative_multiply,
     divided_power,
     equal,
     from_lie,
@@ -104,13 +103,6 @@ def test_binomial_of_h():
     hh = from_lie(h(2))
     expected = multiply(hh, hh - UEA_ONE).scale(Fraction(1, 2))
     assert equal(pbw_normal_form(b), pbw_normal_form(expected))
-
-
-def test_commutative_multiply_matches_on_h():
-    a = from_lie(h(2)) + from_lie(h(0)).scale(Fraction(3))
-    b = from_lie(h(4))
-    assert equal(pbw_normal_form(commutative_multiply(a, b)),
-                 pbw_normal_form(multiply(a, b)))
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3))
