@@ -44,6 +44,7 @@ from .straighten import (
     monomial_to_text,
 )
 from .verify import (
+    _FORMATS,
     CATALOG,
     SuiteConfig,
     SuiteReport,
@@ -129,9 +130,6 @@ def _emit_json(payload: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # Config file
-
-_FORMATS = ("text", "json")
-
 
 def _load_config_defaults() -> dict:
     path = os.environ.get(ENV_CONFIG)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,14 +202,16 @@ def divided_x(a: LieElement, v: int) -> MForm:
     else:
         raise ValueError("divided_x needs a one-sided x combination")
     support = sorted(support, key=lambda b: b.index)
-    n = len(support)
-    out: dict = {}
-    # stars and bars: n - 1 cuts among v + n - 1 places, parts in lex order
-    for cuts in itertools.combinations(range(v + n - 1), n - 1):
-        parts = [hi - lo - 1 for lo, hi in zip((-1, *cuts), (*cuts, v + n - 1))]
-        word = tuple(XFactor(sign, b.index, k) for b, k in zip(support, parts) if k)
-        out[word] = math.prod(a.coeffs[b] ** k for b, k in zip(support, parts))
-    return MForm(out)
+    last = support[-1]
+    # extend the words one generator at a time, the last taking what is left
+    words = [((), 1, v)]
+    for b in support:
+        c = a.coeffs[b]
+        words = [(word + (XFactor(sign, b.index, k),) if k else word,
+                  coeff * c ** k, rem - k)
+                 for word, coeff, rem in words
+                 for k in ((rem,) if b == last else range(rem + 1))]
+    return MForm({word: coeff for word, coeff, _ in words})
 
 
 def _ladder(layer, weight: int, total: int) -> MForm:

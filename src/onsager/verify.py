@@ -422,6 +422,9 @@ def _instances(axes: tuple, check):
         yield {name: flat[name] for name in names}
 
 
+_FORMATS = ("text", "json")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     max_index: int = 3
@@ -439,7 +442,7 @@ class SuiteConfig:
         unknown = [t for t in self.tags if t not in CATALOG]
         if unknown:
             raise ValueError(f"unknown tags: {unknown}")
-        if self.format not in ("text", "json"):
+        if self.format not in _FORMATS:
             raise ValueError(f"unknown format: {self.format}")
 
 
