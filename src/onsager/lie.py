@@ -9,6 +9,7 @@ assume canonical basis elements.
 
 from __future__ import annotations
 
+import math
 from enum import IntEnum
 from fractions import Fraction
 from typing import NamedTuple
@@ -38,80 +39,142 @@ class LinComb:
     """Finite combination of keys with nonzero coefficients.
 
     The one sparse type behind every element of the package: Lie
-    elements, PBW words, ordered monomials and Laurent polynomials all
-    store ``coeffs`` as a plain dict, with zero coefficients dropped at
-    construction so that equal elements have equal dicts.  Arithmetic
-    returns the operand's own subclass, and equality is type-exact, so
-    two kinds of element never compare equal by accident.  Coefficients
-    are used as they come: integers stay ``int``, and a ``Fraction``
-    enters only through :meth:`divide`, which hands an integral quotient
-    back as an ``int``.
+    elements, PBW words, ordered monomials and Laurent polynomials.  An
+    element stores integer numerators ``num`` (a dict, zeros dropped) over
+    one positive ``int`` denominator ``den``, in lowest terms: gcd(den,
+    every numerator) = 1, so equal elements have equal ``num`` and
+    ``den``.  Arithmetic runs on the numerators and returns the operand's
+    own subclass; equality is type-exact, so two kinds of element never
+    compare equal by accident.  Laurent polynomials keep Gaussian-rational
+    numerators over ``den`` 1.  The constructor takes true values;
+    :meth:`over` takes numerators and a denominator.
+
+    ``coeffs`` (and :meth:`items`) is the true-value view: an ``int``
+    where a value is integral, else a ``Fraction``.  It is built at most
+    once per element, is ``num`` itself when ``den`` is 1, and like
+    ``num`` must be treated as read-only.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den", "_view")
 
     def __init__(self, coeffs: dict | None = None):
-        self.coeffs = {k: c for k, c in (coeffs or {}).items() if c}
+        """Element with the true values ``coeffs`` (``int``, ``Fraction``,
+        or Gaussian rationals for Laurent polynomials)."""
+        num = {k: c for k, c in (coeffs or {}).items() if c}
+        dens = [c.denominator for c in num.values() if type(c) is Fraction]
+        den = math.lcm(*dens)
+        if dens:
+            num = {k: c.numerator * (den // c.denominator) if type(c) is Fraction
+                   else c * den for k, c in num.items()}
+        self.num, self.den = num, den
+        self._view = num if den == 1 else None
+
+    @classmethod
+    def _raw(cls, num: dict, den: int):
+        """Element on numerators already nonzero and in lowest terms."""
+        out = cls.__new__(cls)
+        out.num, out.den = num, den
+        out._view = num if den == 1 else None
+        return out
+
+    @classmethod
+    def over(cls, num: dict, den: int = 1):
+        """Element ``num / den`` (``den`` > 0): zeros dropped, lowest terms."""
+        num = {k: n for k, n in num.items() if n}
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {k: n // g for k, n in num.items()}
+                den //= g
+        return cls._raw(num, den)
+
+    @property
+    def coeffs(self) -> dict:
+        view = self._view
+        if view is None:
+            den = self.den
+            view = self._view = {k: n // den if n % den == 0 else Fraction(n, den)
+                                 for k, n in self.num.items()}
+        return view
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def items(self):
         return self.coeffs.items()
 
+    def _common(self, other) -> tuple[dict, dict, int]:
+        """Both numerator dicts over one denominator, the first a copy."""
+        a, b = self.den, other.den
+        if a == b:
+            return dict(self.num), other.num, a
+        den = math.lcm(a, b)
+        fa, fb = den // a, den // b
+        return ({k: fa * n for k, n in self.num.items()},
+                {k: fb * n for k, n in other.num.items()}, den)
+
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
+        out, add, den = self._common(other)
+        for k, n in add.items():
             old = out.get(k)
-            out[k] = c if old is None else old + c
-        return type(self)(out)
+            out[k] = n if old is None else old + n
+        return self.over(out, den)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
+        out, sub, den = self._common(other)
+        for k, n in sub.items():
             old = out.get(k)
-            out[k] = -c if old is None else old - c
-        return type(self)(out)
+            out[k] = -n if old is None else old - n
+        return self.over(out, den)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.coeffs.items()})
+        return self._raw({k: -n for k, n in self.num.items()}, self.den)
 
     def scale(self, c):
-        return type(self)({k: c * v for k, v in self.coeffs.items()})
+        """Product with an ``int``, a ``Fraction``, or (for Laurent
+        polynomials, over ``den`` 1) a Gaussian rational."""
+        if type(c) is Fraction:
+            return self.scale(c.numerator).divide(c.denominator)
+        if not c:
+            return self._raw({}, 1)
+        den = self.den
+        if den != 1:
+            g = math.gcd(c, den)
+            c, den = c // g, den // g
+        return self._raw({k: c * n for k, n in self.num.items()}, den)
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def divide(self, d: int):
-        """Exact quotient by a nonzero ``int``: each coefficient becomes
-        ``Fraction(v, d)``, or its plain numerator when the denominator
-        is 1."""
+        """Exact quotient by a nonzero ``int``."""
         if not d:
             raise ZeroDivisionError("division of a combination by zero")
-        out = {}
-        for k, v in self.coeffs.items():
-            q = Fraction(v, d)
-            out[k] = q.numerator if q.denominator == 1 else q
-        return type(self)(out)
+        num = self.num if d > 0 else {k: -n for k, n in self.num.items()}
+        d = abs(d)
+        g = math.gcd(d, *num.values())
+        if g != 1:
+            num = {k: n // g for k, n in num.items()}
+        return self._raw(num, self.den * (d // g))
 
     def convolve(self, other):
         """Keyed product: keys combine by ``+`` (tuples concatenate,
         exponents add) and coefficients multiply."""
         out: dict = {}
-        for ka, ca in self.coeffs.items():
-            for kb, cb in other.coeffs.items():
+        for ka, ca in self.num.items():
+            for kb, cb in other.num.items():
                 k = ka + kb
                 c = ca * cb
                 old = out.get(k)
                 out[k] = c if old is None else old + c
-        return type(self)(out)
+        return self.over(out, self.den * other.den)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     def __repr__(self):
         """Surface syntax that ``expr.parse`` reads back, e.g.
@@ -147,7 +210,7 @@ class LieElement(LinComb):
     __slots__ = ()
 
     def support(self) -> list[BasisElement]:
-        return sorted(self.coeffs)
+        return sorted(self.num)
 
     __mul__ = LinComb.scale
     _ordered = support
@@ -160,12 +223,12 @@ LIE_ZERO = LieElement()
 def generator(kind: Kind, index: int) -> LieElement:
     """Normalized single generator, for any integer index."""
     if kind == Kind.H:
-        return LieElement({BasisElement(Kind.H, abs(index)): 1})
+        return LieElement._raw({BasisElement(Kind.H, abs(index)): 1}, 1)
     if index == 0:
         return LIE_ZERO
     if index < 0:
-        return LieElement({BasisElement(kind, -index): -1})
-    return LieElement({BasisElement(kind, index): 1})
+        return LieElement._raw({BasisElement(kind, -index): -1}, 1)
+    return LieElement._raw({BasisElement(kind, index): 1}, 1)
 
 
 def xplus(j: int) -> LieElement:

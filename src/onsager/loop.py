@@ -13,14 +13,14 @@ from fractions import Fraction
 
 from .lie import BasisElement, Kind, LieElement, LinComb, bracket, generator
 
-FR0 = Fraction(0)
-FR1 = Fraction(1)
-
 
 @dataclass(frozen=True)
 class GaussianRational:
-    re: Fraction = FR0
-    im: Fraction = FR0
+    """re + i*im with exact parts: ``int``, or a ``Fraction`` once a
+    half has entered (``HALF``)."""
+
+    re: int | Fraction = 0
+    im: int | Fraction = 0
 
     def __add__(self, other):
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -46,12 +46,12 @@ class GaussianRational:
 
 
 GR0 = GaussianRational()
-GR1 = GaussianRational(FR1)
-GR_I = GaussianRational(FR0, FR1)
+GR1 = GaussianRational(1)
+GR_I = GaussianRational(0, 1)
 
 
 def gr(re=0, im=0) -> GaussianRational:
-    return GaussianRational(Fraction(re), Fraction(im))
+    return GaussianRational(re, im)
 
 
 class LaurentPoly(LinComb):

@@ -15,9 +15,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import caches, linalg
 from .lie import Kind, LieElement, LinComb, xminus, xplus
@@ -29,7 +28,7 @@ from .uea import (
     pbw_normal_form,
     rewrite,
 )
-from .elements import binom, d1_closed, d_triple, exponent_tuples, lambda_num, lambda_rec
+from .elements import binom, d1_closed, d_triple, exponent_tuples, lambda_rec
 
 
 class NoLambdaExpression(Exception):
@@ -54,30 +53,36 @@ class AmbiguousSolution(Exception):
         self.monomials = monomials
 
 
-# Frozen dataclasses rather than NamedTuples: the two factor kinds must
-# never compare equal even when their fields coincide numerically.
+# Tuples, so a factor hashes and compares in C.  The trailing ``kind``
+# tag keeps the two kinds apart even when their fields coincide.
 # A factor's ``slot`` is its place in an ordered monomial: the block
 # (minus 0, Lambda 1, plus 2), then the generator index or Lambda pair.
-@dataclass(frozen=True)
-class XFactor:
+class XFactor(NamedTuple):
     sign: int  # +1 or -1
     index: int
     order: int
+    kind: str = "x"
 
     @property
     def slot(self) -> tuple:
         return (1 + self.sign, self.index)
 
+    def __repr__(self):
+        return f"XFactor(sign={self.sign}, index={self.index}, order={self.order})"
 
-@dataclass(frozen=True)
-class LFactor:
+
+class LFactor(NamedTuple):
     j: int
     l: int
     order: int
+    kind: str = "lam"
 
     @property
     def slot(self) -> tuple:
         return (1, self.j, self.l)
+
+    def __repr__(self):
+        return f"LFactor(j={self.j}, l={self.l}, order={self.order})"
 
 
 Factor = Union[XFactor, LFactor]
@@ -122,7 +127,7 @@ class MForm(LinComb):
     __mul__ = LinComb.convolve
 
     def words(self) -> list[MWord]:
-        return sorted(self.coeffs, key=lambda w: (mdegree(w), len(w), word_key(w)))
+        return sorted(self.num, key=lambda w: (mdegree(w), len(w), word_key(w)))
 
     _ordered = words
     _show_key = staticmethod(monomial_to_text)
@@ -169,11 +174,17 @@ def expand_word(w: MWord) -> UEAElement:
 
 
 def expand(m: MForm) -> UEAElement:
+    """The PBW normal form of an ordered-monomial form, summed in ints
+    over the lcm of the word expansions' denominators."""
+    parts = [(n, expand_word(w)) for w, n in m.num.items()]
+    den = math.lcm(*(e.den for _, e in parts))
     out: dict = {}
-    for w, c in m.items():
-        for ww, cc in expand_word(w).items():
-            out[ww] = out.get(ww, 0) + c * cc
-    return UEAElement(out)
+    for n, e in parts:
+        f = n * (den // e.den)
+        for ww, c in e.num.items():
+            old = out.get(ww)
+            out[ww] = f * c if old is None else old + f * c
+    return UEAElement.over(out, den * m.den)
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +214,16 @@ def divided_x(a: LieElement, v: int) -> MForm:
         raise ValueError("divided_x needs a one-sided x combination")
     support = sorted(support, key=lambda b: b.index)
     last = support[-1]
-    # extend the words one generator at a time, the last taking what is left
+    # extend the words one generator at a time, the last taking what is
+    # left; each word's numerator is over a.den ** v
     words = [((), 1, v)]
     for b in support:
-        c = a.coeffs[b]
+        n = a.num[b]
         words = [(word + (XFactor(sign, b.index, k),) if k else word,
-                  coeff * c ** k, rem - k)
+                  coeff * n ** k, rem - k)
                  for word, coeff, rem in words
                  for k in ((rem,) if b == last else range(rem + 1))]
-    return MForm({word: coeff for word, coeff, _ in words})
+    return MForm.over({word: coeff for word, coeff, _ in words}, a.den ** v)
 
 
 def _ladder(layer, weight: int, total: int) -> MForm:
@@ -318,12 +330,11 @@ def move_x_past_lambda(sign: int, x_index: int, r: int,
 _MERGE_CACHE: dict = caches.register({})
 
 
-def _y_coordinates(component: dict, den: int = 1) -> dict:
+def _y_coordinates(component: LinComb) -> LinComb:
     """Homogeneous h-polynomial -> ordinary monomial coords in the Y_i.
 
-    Input maps sorted h-index tuples to coefficients, all over ``den``:
-    :func:`merge_lambda_pair` passes the (k+m)! by which it keeps its
-    remainder integral, not a tuning value.
+    The input is keyed by sorted h-index tuples, the output by sorted
+    Y-index tuples, both over the input's denominator.
     A ring map: each letter is substituted once, as
     h_i = h_parity + Y_i + Y_{i-2} + ..., and word prefixes expand with
     merging; raises NoLambdaExpression if any h_0/h_1 content survives.
@@ -349,29 +360,19 @@ def _y_coordinates(component: dict, den: int = 1) -> dict:
             got = expansions[word[:cut]] = nxt
         return got
 
-    # sum in ints over one common denominator, and divide once
-    scale = math.lcm(*(c.denominator for c in component.values()))
     total: dict = {}
-    for word, c in component.items():
-        n = c.numerator * (scale // c.denominator)
+    for word, n in component.num.items():
         for mono, k in expansion(word).items():
             total[mono] = total.get(mono, 0) + n * k
-    scale *= den
-    coords: dict = {}
-    bad: dict = {}
-    for mono, v in total.items():
-        if not v:
-            continue
-        q = Fraction(v, scale)
-        q = q.numerator if q.denominator == 1 else q
-        at = bisect.bisect_left(mono, 2)
-        if at:
-            bad[mono[:at], mono[at:]] = q
-        else:
-            coords[mono] = q
-    if bad:
+    total = LinComb.over(total, component.den)
+    if any(mono and mono[0] < 2 for mono in total.num):
+        bad = {}
+        for mono, c in total.items():
+            at = bisect.bisect_left(mono, 2)
+            if at:
+                bad[mono[:at], mono[at:]] = c
         raise NoLambdaExpression(f"h_0/h_1 content in correction: {bad}")
-    return coords
+    return total
 
 
 def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
@@ -379,50 +380,42 @@ def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
     got = _MERGE_CACHE.get(key)
     if got is not None:
         return got
+    lead = lfactor(j, l, k + m)
     lead_coeff = binom(k + m, k)
-    # the remainder NF(L_k L_m) - C L_{k+m}, kept in ints as (k+m)! times
-    # its value: C (NF(N_k N_m) - N_{k+m}) with N_k = k! L_k
-    scale = math.factorial(k + m)
-    product = pbw_normal_form(multiply(lambda_num(j, l, k), lambda_num(j, l, m)))
-    remainder = dict((product - lambda_num(j, l, k + m)).scale(lead_coeff).coeffs)
+    # the correction NF(L_k L_m) - C L_{k+m}, removed one degree at a time
+    remainder = (expand_word((lfactor(j, l, k), lfactor(j, l, m)))
+                 - expand_factor(lead).scale(lead_coeff))
     corr: dict = {}
-    while remainder:
-        d = max(len(w) for w in remainder)
+    while not remainder.is_zero:
+        d = max(map(len, remainder.num))
         if d == 0:
-            c0 = Fraction(remainder[()], scale)
-            if c0.denominator != 1:
-                raise NoLambdaExpression(f"non-integral constant term {c0}")
-            corr[()] = c0.numerator
+            if remainder.den != 1:
+                raise NoLambdaExpression(
+                    f"non-integral constant term {remainder.coeffs[()]}")
+            corr[()] = remainder.num[()]
             break
-        component = {tuple(b.index for b in w): c
-                     for w, c in remainder.items() if len(w) == d}
+        coords = _y_coordinates(LinComb.over(
+            {tuple(b.index for b in w): n for w, n in remainder.num.items() if len(w) == d},
+            remainder.den))
         # distinct Y-monomials give distinct words, all of mdegree d
-        for ys, c in _y_coordinates(component, scale).items():
+        step: dict = {}
+        for ys, n in coords.num.items():
             mult: dict[int, int] = {}
             for t in ys:
                 mult[t] = mult.get(t, 0) + 1
-            c_div = c
             for q in mult.values():
-                for f in range(2, q + 1):
-                    c_div *= f
-            if c_div.denominator != 1:
+                n *= math.factorial(q)
+            c, r = divmod(n, coords.den)
+            if r:
                 raise NoLambdaExpression(
-                    f"non-integral Y-coordinate {c_div} at {ys} merging "
-                    f"orders ({k},{m}) on pair ({j},{l})")
+                    f"non-integral Y-coordinate {Fraction(n, coords.den)} at {ys} "
+                    f"merging orders ({k},{m}) on pair ({j},{l})")
             word = tuple(LFactor(t - 1, 1, q) for t, q in sorted(mult.items()))
-            coeff = corr[word] = c_div.numerator if d % 2 == 0 else -c_div.numerator
-            # the word's expansion has denominators dividing d!, and d < k+m
-            s = scale * coeff
-            for w, v in expand_word(word).items():
-                v, r = divmod(s * v.numerator, v.denominator)
-                if r:
-                    raise ArithmeticError(f"{word} expands with a denominator beyond {scale}")
-                v = remainder.get(w, 0) - v
-                if v:
-                    remainder[w] = v
-                else:
-                    del remainder[w]
-    out = monomial(lfactor(j, l, k + m)).scale(lead_coeff) + MForm(corr)
+            step[word] = c if d % 2 == 0 else -c
+        # each word's expansion leads with its Y-monomial, so this clears degree d
+        remainder = remainder - expand(MForm(step))
+        corr.update(step)
+    out = monomial(lead).scale(lead_coeff) + MForm(corr)
     _MERGE_CACHE[key] = out
     return out
 
@@ -534,7 +527,7 @@ def mform_coordinates(m: MForm, max_mdegree: int, max_index: int) -> dict:
     preservation of the rewrite rules.
     """
     normal = normalize_to_basis(m)
-    for w in normal.coeffs:
+    for w in normal.num:
         if not _within_bounds(w, max_mdegree, max_index):
             raise OutOfTruncation(
                 f"monomial {w} exceeds mdegree {max_mdegree} or index {max_index}")

@@ -32,7 +32,7 @@ class UEAElement(LinComb):
 
     def words(self) -> list[Word]:
         """Support in graded-lexicographic order (length, then entries)."""
-        return sorted(self.coeffs, key=lambda w: (len(w), w))
+        return sorted(self.num, key=lambda w: (len(w), w))
 
     _ordered = words
 
@@ -46,7 +46,7 @@ UEA_ONE = UEAElement({(): 1})
 
 
 def from_lie(a: LieElement) -> UEAElement:
-    return UEAElement({(b,): c for b, c in a.coeffs.items()})
+    return UEAElement.over({(b,): n for b, n in a.num.items()}, a.den)
 
 
 def multiply(a: UEAElement, b: UEAElement) -> UEAElement:
@@ -125,14 +125,13 @@ def pbw_normal_form(a: UEAElement, strategy: str = "leftmost") -> UEAElement:
     rightmost = strategy == "rightmost"
     # the oracle route shares no entries, not even the swap rule's
     memo, rule = ({}, _swap) if rightmost else (_NF_CACHE, _cached_swap)
-    # word normal forms are integral: sum in ints over one common denominator
-    den = math.lcm(*(c.denominator for c in a.coeffs.values()))
+    # word normal forms are integral, so a's numerators stay over its den
     out: dict = {}
-    for w, c in a.coeffs.items():
-        n = c.numerator * (den // c.denominator)
-        for ww, cc in rewrite(w, operator.gt, rule, memo, rightmost).items():
-            out[ww] = out.get(ww, 0) + n * cc
-    return UEAElement(out).divide(den)
+    for w, n in a.num.items():
+        for ww, c in rewrite(w, operator.gt, rule, memo, rightmost).items():
+            old = out.get(ww)
+            out[ww] = n * c if old is None else old + n * c
+    return UEAElement.over(out, a.den)
 
 
 def equal(a: UEAElement, b: UEAElement) -> bool:

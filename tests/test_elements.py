@@ -15,7 +15,6 @@ from onsager.elements import (
     duv_series,
     exponent_tuples,
     lambda1,
-    lambda_num,
     lambda_rec,
     lambda_series,
     p_closed,
@@ -84,29 +83,31 @@ def test_lambda_dual_paths():
 
 
 def test_integer_lambda_is_k_factorial_lambda():
+    # k! Lambda_k is integral, so Lambda_k's one denominator divides k!
     for j in range(1, 4):
         for l in range(1, 4):
             for k in range(0, 5):
-                n = lambda_num(j, l, k)
-                assert all(type(c) is int for c in n.coeffs.values())
-                assert n == lambda_series(j, l, k).scale(math.factorial(k))
-                assert lambda_rec(j, l, k) == lambda_series(j, l, k)
+                lam = lambda_rec(j, l, k)
+                assert math.factorial(k) % lam.den == 0
+                n = lam.scale(math.factorial(k))
+                assert n.den == 1 and all(type(c) is int for c in n.coeffs.values())
+                assert lam == lambda_series(j, l, k)
 
 
 def test_integer_lambda_is_flushed_with_the_bracket_table():
-    # lambda_num is built from p_def, which reads the [h, x] constant
+    # lambda_rec is built from p_def, which reads the [h, x] constant
     caches.clear_all()
-    true = lambda_num(1, 1, 2)
-    assert elements._LAMBDA_CACHE[1, 1, 2, True] is true
+    true = lambda_rec(1, 1, 2)
+    assert elements._LAMBDA_CACHE[1, 1, 2] is true
     original = lie._H_X_SCALE
     try:
         lie._H_X_SCALE = Fraction(3)
         caches.clear_all()
-        assert lambda_num(1, 1, 2) != true
+        assert lambda_rec(1, 1, 2) != true
     finally:
         lie._H_X_SCALE = original
         caches.clear_all()
-    assert lambda_num(1, 1, 2) == true
+    assert lambda_rec(1, 1, 2) == true
 
 
 def test_lambda_degenerate_orders():

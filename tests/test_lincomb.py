@@ -1,5 +1,6 @@
 """The shared sparse-combination behaviour of the four element types."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -127,3 +128,57 @@ def test_arithmetic_stores_no_zero_and_matches_full_filtering(da, db, c, d):
         assert type(got) is UEAElement
         assert all(v != 0 for v in got.coeffs.values())
         assert got.coeffs == want
+
+
+def _canonical(u) -> bool:
+    """Integer numerators, none zero, over a positive den in lowest terms."""
+    return (type(u.den) is int and u.den > 0
+            and all(type(n) is int and n for n in u.num.values())
+            and math.gcd(u.den, *u.num.values()) == 1)
+
+
+OPS = st.lists(st.tuples(st.sampled_from(["add", "sub", "neg", "scale", "divide", "convolve"]),
+                         DICTS, COEFFS, st.integers(-6, 6).filter(bool)),
+               max_size=6)
+
+
+@given(DICTS, OPS)
+@settings(deadline=None)
+def test_numerators_over_one_denominator_match_a_fraction_reference(start, ops):
+    u = UEAElement(start)
+    ref = {k: Fraction(c) for k, c in _filtered(start).items()}
+    for op, other, c, d in ops:
+        v = UEAElement(other)
+        vref = {k: Fraction(x) for k, x in _filtered(other).items()}
+        if op == "add":
+            u, ref = u + v, _summed(ref, vref, 1)
+        elif op == "sub":
+            u, ref = u - v, _summed(ref, vref, -1)
+        elif op == "neg":
+            u, ref = -u, {k: -x for k, x in ref.items()}
+        elif op == "scale":
+            u, ref = u.scale(c), _filtered({k: c * x for k, x in ref.items()})
+        elif op == "divide":
+            u, ref = u.divide(d), {k: x / d for k, x in ref.items()}
+        else:
+            convolved: dict = {}
+            for ka, ca in ref.items():
+                for kb, cb in vref.items():
+                    convolved[ka + kb] = convolved.get(ka + kb, 0) + ca * cb
+            u, ref = u.convolve(v), _filtered(convolved)
+        assert type(u) is UEAElement and _canonical(u)
+        assert u.coeffs == ref
+        assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                   for x in u.coeffs.values())
+        # the same value built from its true values is the same element
+        same = UEAElement(ref)
+        assert same == u and hash(same) == hash(u)
+
+
+def test_true_value_view_of_a_large_element_is_built_once():
+    from onsager.expr import evaluate, parse
+    from onsager.uea import pbw_normal_form
+
+    u = pbw_normal_form(evaluate(parse("dp(xp(2),3)*lam(2,3,3)*dp(xm(3),2)")))
+    assert len(u.num) == 1383 and u.den != 1
+    assert u.coeffs is u.coeffs

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onsager.elements import binom, lambda_rec
-from onsager.lie import LIE_ZERO, h, xminus, xplus
+from onsager.lie import LIE_ZERO, LinComb, h, xminus, xplus
 from onsager.uea import divided_power, equal, from_lie, multiply, pbw_normal_form
 from onsager.straighten import (
     AmbiguousSolution,
@@ -48,6 +48,16 @@ def _random_word(rng, max_factors=4, max_index=3, max_order=2):
             word.append(XFactor(sign, rng.randint(1, max_index),
                                 rng.randint(1, max_order)))
     return tuple(word)
+
+
+def test_factor_kinds_with_equal_fields_are_distinct_keys():
+    x, lam = XFactor(2, 1, 3), LFactor(2, 1, 3)
+    assert x != lam and len({x: 1, lam: 2}) == 2
+    assert MForm({(x,): 1}) != MForm({(lam,): 1})
+    # plain tuples: hashing and equality run in C
+    assert XFactor.__hash__ is tuple.__hash__ and LFactor.__hash__ is tuple.__hash__
+    assert repr(x) == "XFactor(sign=2, index=1, order=3)"
+    assert repr(lam) == "LFactor(j=2, l=1, order=3)"
 
 
 def test_same_x_consolidation():
@@ -104,10 +114,10 @@ def test_merge_lambda_pair_leading_term():
 
 def test_y_coordinates_keeps_h0_and_h1_apart():
     # h_2 - h_0 is the chain element Y_2
-    assert _y_coordinates({(2,): 1, (0,): -1}) == {(2,): 1}
+    assert _y_coordinates(LinComb({(2,): 1, (0,): -1})).coeffs == {(2,): 1}
     # h_0 - h_1 is all base content: the two bases must not cancel
     with pytest.raises(NoLambdaExpression):
-        _y_coordinates({(0,): 1, (1,): -1})
+        _y_coordinates(LinComb({(0,): 1, (1,): -1}))
 
 
 def _y_coordinates_by_enumeration(component: dict) -> dict:
@@ -169,16 +179,14 @@ def _components(draw):
 @given(_components(), st.integers(1, 3))
 @settings(deadline=None, max_examples=300)
 def test_y_coordinates_ring_map_matches_enumeration(component, den):
-    scaled = {w: Fraction(c, den) for w, c in component.items()}
+    scaled = LinComb(component).divide(den)
     try:
-        want = _y_coordinates_by_enumeration(scaled)
+        want = _y_coordinates_by_enumeration(scaled.coeffs)
     except NoLambdaExpression:
         with pytest.raises(NoLambdaExpression):
-            _y_coordinates(component, den)
+            _y_coordinates(scaled)
         return
-    assert _y_coordinates(component, den) == want
-    if den == 1:
-        assert _y_coordinates(component) == want
+    assert _y_coordinates(scaled).coeffs == want
 
 
 def test_merge_small_case_exact():
