@@ -181,7 +181,8 @@ def _components(draw):
 def test_y_coordinates_ring_map_matches_enumeration(component, den):
     scaled = LinComb(component).divide(den)
     try:
-        want = _y_coordinates_by_enumeration(scaled.coeffs)
+        want = _y_coordinates_by_enumeration(
+            {w: Fraction(c, den) for w, c in component.items()})
     except NoLambdaExpression:
         with pytest.raises(NoLambdaExpression):
             _y_coordinates(scaled)
