@@ -245,7 +245,8 @@ def h(k: int) -> LieElement:
 
 # Scale of the [h, x] structure constants.  The true value is 2; tests
 # corrupt this to exercise failure reporting in the verifier.  It must stay
-# integral: PBW word normal forms are summed as integer numerators.
+# integral: PBW word normal forms are summed as integer numerators, and
+# ``uea._swap`` raises on a non-integral bracket.
 _H_X_SCALE = 2
 
 

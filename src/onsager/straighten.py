@@ -162,14 +162,13 @@ def expand_factor(f: Factor) -> UEAElement:
 
 
 def expand_word(w: MWord) -> UEAElement:
-    got = _WORD_EXPAND.get(w)
-    if got is not None:
-        return got
-    val = UEA_ONE
-    for f in w:
-        val = multiply(val, expand_factor(f))
-    val = pbw_normal_form(val)
-    _WORD_EXPAND[w] = val
+    """Normal form of ``w``'s product, built onto its longest cached prefix."""
+    cut = len(w)
+    while cut and w[:cut] not in _WORD_EXPAND:
+        cut -= 1
+    val = _WORD_EXPAND[w[:cut]] if cut else UEA_ONE
+    for cut in range(cut + 1, len(w) + 1):
+        val = _WORD_EXPAND[w[:cut]] = multiply(val, expand_factor(w[cut - 1]))
     return val
 
 

@@ -1,7 +1,8 @@
 """Enveloping-algebra layer: words over the basis and PBW normal forms.
 
 Elements are rational combinations of words (finite sequences of
-canonical basis elements).  :func:`rewrite` is the package's one
+canonical basis elements); :func:`multiply`, and every power built on
+it, returns a normal form.  :func:`rewrite` is the package's one
 rewriting engine; the PBW normal form runs it with the rule
 ``ab -> ba + [a,b]`` on descents a > b, and the straightening calculus
 with its own factor order and rules.  The PBW theorem makes the result
@@ -50,7 +51,8 @@ def from_lie(a: LieElement) -> UEAElement:
 
 
 def multiply(a: UEAElement, b: UEAElement) -> UEAElement:
-    return a.convolve(b)
+    """The product in PBW normal form; ``a.convolve(b)`` is the free one."""
+    return pbw_normal_form(a.convolve(b))
 
 
 def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict:
@@ -102,9 +104,21 @@ def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict
 _NF_CACHE: dict[Word, dict[Word, int]] = caches.register({})
 
 
+class NonIntegralBracket(ValueError):
+    """A structure constant is not an integer.
+
+    Word normal forms are summed as integer numerators over the input's
+    denominator, which holds only while every bracket is integral.
+    """
+
+
 def _swap(a: BasisElement, b: BasisElement) -> dict:
     """ab = ba + [a,b]."""
-    return {(b, a): 1, **{(g,): c for g, c in bracket_basis(a, b).items()}}
+    br = bracket_basis(a, b)
+    if br.den != 1:
+        raise NonIntegralBracket(f"non-integral structure constant: "
+                                 f"[{basis_to_text(a)}, {basis_to_text(b)}] = {br}")
+    return {(b, a): 1, **{(g,): c for g, c in br.num.items()}}
 
 
 def _cached_swap(a: BasisElement, b: BasisElement) -> dict:

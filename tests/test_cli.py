@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -156,6 +157,16 @@ def test_normalize_command(capsys):
     # a 1225-swap rewrite chain needs no deep stack
     assert main(["normalize", "*".join(f"xp({j})" for j in range(50, 0, -1))]) == 0
     assert capsys.readouterr().out.strip() == "*".join(f"xp({j})" for j in range(1, 51))
+
+
+def test_normalize_divided_power_of_a_sum(capsys):
+    # power() normalizes after each factor; multiplying out all nine
+    # three-letter factors first took about 7 s
+    start = time.perf_counter()
+    assert main(["normalize", "dp(xp(1)+xm(1)+h(1),9)"]) == 0
+    assert time.perf_counter() - start < 3
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "cd9d59b60c24ec2ca9cd6d7ed7cd08418f30c00a5788927770a3299b9da99aa2"
 
 
 def test_normalize_json_schema(capsys):
@@ -385,8 +396,9 @@ def test_emit_json_matches_one_dumps(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # fuzz: every input ends in a documented exit code, and printed normal
 # forms parse back.  Integers stay small (lam(1,1,900) alone runs for
-# minutes), and a product's factors carry at most three generators in all,
-# so one inserted "*" cannot make a minutes-long product either.
+# minutes), and a product's factors carry at most three generators in all:
+# a parsed product is free, so k factors of n words build n^k words before
+# they are normalized, and one inserted "*" must not make such a product.
 
 _INDEX = st.integers(-3, 3)
 _ORDER = st.integers(0, 3)

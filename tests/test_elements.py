@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from onsager import caches, elements, lie
 from onsager.lie import bracket, h, xminus, xplus
-from onsager.uea import equal, pbw_normal_form
+from onsager.uea import binomial, divided_power, equal, from_lie, pbw_normal_form
 from onsager.elements import (
     binom,
     bracket_x_lambda1,
@@ -150,3 +150,17 @@ def test_p_via_lambda():
                 assert p_via_lambda_odd(n, j, l) == p_def(2 * n + 1, j, l)
             for n in range(1, 3):
                 assert p_via_lambda_even(n, j, l) == p_def(2 * n, j, l)
+
+
+def test_element_families_are_normal_forms():
+    # verify compares catalog sides by ==, which needs canonical values
+    mixed = from_lie(xplus(1) + xminus(2) + h(1))
+    values = [divided_power(mixed, 3), binomial(mixed, 2), binomial(h(2), 3)]
+    for j, l in ((1, 1), (2, 1)):
+        for k in range(4):
+            values += [lambda_rec(j, l, k), lambda_series(j, l, k)]
+    for sign in (1, -1):
+        for u, v in ((0, 2), (1, 2), (2, 1), (2, 2)):
+            values += [f(sign, u, v, 2, 1) for f in (duv_rec, duv_multinomial, duv_series)]
+    for x in values:
+        assert pbw_normal_form(x, "rightmost") == x

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from onsager.elements import binom, lambda_rec
 from onsager.lie import LIE_ZERO, LinComb, h, xminus, xplus
-from onsager.uea import divided_power, equal, from_lie, multiply, pbw_normal_form
+from onsager import caches
+from onsager.uea import UEA_ONE, divided_power, equal, from_lie, multiply, pbw_normal_form
 from onsager.straighten import (
     AmbiguousSolution,
     LFactor,
@@ -20,6 +21,8 @@ from onsager.straighten import (
     divided_x,
     enumerate_basis,
     expand,
+    expand_factor,
+    expand_word,
     integrality_check,
     lfactor,
     mdegree,
@@ -314,3 +317,13 @@ def test_property_divided_x(a, v, c):
     assert pbw_normal_form(expand(divided_x(a, v))) == pbw_normal_form(divided_power(a, v))
     # the ladder sum moves a layer's weight inside the divided power by this
     assert divided_x(a.scale(c), v) == divided_x(a, v).scale(c ** v)
+
+
+def test_expand_word_is_the_normal_form_of_the_free_product():
+    # longest words first, so shorter ones are read from cached prefixes
+    caches.clear_all()
+    for w in reversed(enumerate_basis(3, 3)):
+        free = UEA_ONE
+        for f in w:
+            free = free.convolve(expand_factor(f))
+        assert expand_word(w) == pbw_normal_form(free), w

@@ -20,6 +20,7 @@ from onsager.uea import (
     rewrite,
 )
 from onsager import caches, lie, uea
+from onsager.cli import main
 from onsager.elements import binom
 
 
@@ -32,14 +33,14 @@ def _random_element(rng, nwords=2, nletters=3, max_index=4):
             g = generator(rng.choice(kinds), rng.randint(0, max_index))
             if g.is_zero:
                 continue
-            word = multiply(word, from_lie(g))
+            word = word.convolve(from_lie(g))
         out = out + word.scale(Fraction(rng.randint(-3, 3) or 1))
     return out
 
 
 def test_normal_form_example():
-    nf = pbw_normal_form(multiply(from_lie(xplus(1)), from_lie(xminus(1))))
-    expected = (multiply(from_lie(xminus(1)), from_lie(xplus(1)))
+    nf = pbw_normal_form(from_lie(xplus(1)).convolve(from_lie(xminus(1))))
+    expected = (from_lie(xminus(1)).convolve(from_lie(xplus(1)))
                 + from_lie(h(2)) - from_lie(h(0)))
     assert equal(nf, pbw_normal_form(expected))
 
@@ -108,7 +109,7 @@ def test_binomial_of_h():
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3))
 @settings(deadline=None)
 def test_normal_form_linear(j, l, k):
-    a = multiply(from_lie(xplus(j)), from_lie(xminus(l)))
+    a = from_lie(xplus(j)).convolve(from_lie(xminus(l)))
     b = divided_power(h(k), 2)
     lhs = pbw_normal_form(a + b)
     rhs = pbw_normal_form(a) + pbw_normal_form(b)
@@ -147,13 +148,13 @@ def test_deep_descent_both_strategies():
 
 
 def test_unknown_strategy_rejected():
-    a = multiply(from_lie(xplus(1)), from_lie(xminus(1)))
+    a = from_lie(xplus(1)).convolve(from_lie(xminus(1)))
     with pytest.raises(ValueError):
         pbw_normal_form(a, "Rightmost")
 
 
 def test_rightmost_keeps_out_of_the_cache():
-    a = multiply(from_lie(xplus(7)), multiply(from_lie(h(5)), from_lie(xminus(6))))
+    a = from_lie(xplus(7)).convolve(from_lie(h(5))).convolve(from_lie(xminus(6)))
     before = len(uea._NF_CACHE)
     pbw_normal_form(a, "rightmost")
     assert len(uea._NF_CACHE) == before
@@ -172,11 +173,30 @@ def test_swap_table_lives_in_the_normal_form_cache_rebuilt_after_corruption():
     assert not uea._NF_CACHE
     original = lie._H_X_SCALE
     try:
-        lie._H_X_SCALE = Fraction(3)
-        caches.clear_all()
-        assert pbw_normal_form(word).coeffs[target] == -3
+        for scale in (Fraction(3), 3):
+            lie._H_X_SCALE = scale
+            caches.clear_all()
+            assert pbw_normal_form(word).coeffs[target] == -3
     finally:
         lie._H_X_SCALE = original
         caches.clear_all()
     assert pbw_normal_form(word).coeffs[target] == -2
+
+
+def test_non_integral_bracket_is_rejected(capsys):
+    # word normal forms are summed as integer numerators, so a half-integral
+    # [h, x] constant must stop both strategies rather than go in silently
+    word = from_lie(xplus(1)).convolve(from_lie(h(1)))
+    original = lie._H_X_SCALE
+    try:
+        lie._H_X_SCALE = Fraction(1, 2)
+        caches.clear_all()
+        for strategy in ("leftmost", "rightmost"):
+            with pytest.raises(uea.NonIntegralBracket, match=r"\[xp\(1\), h\(1\)\]"):
+                pbw_normal_form(word, strategy)
+        assert main(["normalize", "xp(1)*h(1)"]) == 2
+        assert "non-integral structure constant" in capsys.readouterr().err
+    finally:
+        lie._H_X_SCALE = original
+        caches.clear_all()
 

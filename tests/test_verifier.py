@@ -119,6 +119,19 @@ def test_corruption_makes_realize_fail(corrupted_bracket):
     assert failing[0].counterexample is not None
 
 
+def test_integral_corruption_makes_i7_and_realize_fail():
+    # a plain int constant takes the same route as Fraction(3)
+    original = lie._H_X_SCALE
+    try:
+        lie._H_X_SCALE = 3
+        caches.clear_all()
+        assert not run_suite(SuiteConfig(max_index=1, max_order=2, tags=("I7",))).all_pass
+        assert not run_suite(SuiteConfig(max_index=2, max_order=1, tags=("REALIZE",))).all_pass
+    finally:
+        lie._H_X_SCALE = original
+        caches.clear_all()
+
+
 def test_suite_recovers_after_corruption_fixture(corrupted_bracket):
     # within the fixture the suite fails ...
     assert not run_suite(SuiteConfig(max_index=1, max_order=2, tags=("I7",))).all_pass
