@@ -16,6 +16,7 @@ the input's parentheses, brackets, call arguments and unary minus chains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -269,12 +270,15 @@ def evaluate(e) -> UEAElement:
     if isinstance(e, Call):
         return _evaluate_call(e)
     if isinstance(e, Sum):
+        terms = [(sign, evaluate(term)) for sign, term in e.terms]
+        den = math.lcm(*(t.den for _, t in terms))
         out: dict = {}
-        for sign, term in e.terms:
-            for w, c in evaluate(term).items():
+        for sign, t in terms:
+            f = sign * (den // t.den)
+            for w, n in t.num.items():
                 old = out.get(w)
-                out[w] = sign * c if old is None else old + sign * c
-        return UEAElement(out)
+                out[w] = f * n if old is None else old + f * n
+        return UEAElement.over(out, den)
     if isinstance(e, Product):
         # a free product: perfbench's oracle checks `normalize` by rewriting
         # it rightmost-first, which a normal form would leave nothing to do

@@ -271,16 +271,16 @@ def bracket_basis(a: BasisElement, b: BasisElement) -> LieElement:
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
+    terms = [(na * nb, t) for ba, na in a.num.items() for bb, nb in b.num.items()
+             if (t := bracket_basis(ba, bb)).num]
+    den = math.lcm(*(t.den for _, t in terms))  # 1 while the constants are integers
     out: dict = {}
-    for ba, ca in a.coeffs.items():
-        for bb, cb in b.coeffs.items():
-            term = bracket_basis(ba, bb)
-            if term.is_zero:
-                continue
-            c = ca * cb
-            for g, v in term.coeffs.items():
-                out[g] = out.get(g, 0) + c * v
-    return LieElement(out)
+    for c, t in terms:
+        c *= den // t.den
+        for g, v in t.num.items():
+            old = out.get(g)
+            out[g] = c * v if old is None else old + c * v
+    return LieElement.over(out, a.den * b.den * den)
 
 
 def tau(a: LieElement) -> LieElement:

@@ -2,21 +2,27 @@
 
 Elements are rational combinations of words (finite sequences of
 canonical basis elements); :func:`multiply`, and every power built on
-it, returns a normal form.  :func:`rewrite` is the package's one
-rewriting engine; the PBW normal form runs it with the rule
-``ab -> ba + [a,b]`` on descents a > b, and the straightening calculus
-with its own factor order and rules.  The PBW theorem makes the result
-independent of the rewriting strategy, which the test suite checks by
-running a second, rightmost-descent strategy.
+it, returns a normal form.  A normal word is three blocks, x-, then h,
+then x+, each sorted; letters of one kind commute.  So a word's normal
+form is a fold from the right: each letter passes the lower-kind prefix
+of the normal words built so far by ``ab -> ba + [a,b]`` and the rest
+joins at a seam inside the letter's own kind.  Two normal words join at
+the seam without rewriting when they are in order there or meet inside
+one kind.
+:func:`rewrite` is the package's one pair-rewriting engine: the
+straightening calculus runs it with its own factor order and rules, and
+the PBW theorem's independence of the route is checked by running it on
+rightmost descents a > b, an algorithm of its own, as an oracle.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 
 from . import caches
-from .lie import BasisElement, LieElement, LinComb, basis_to_text, bracket_basis
+from .lie import BasisElement, Kind, LieElement, LinComb, basis_to_text, bracket_basis
 
 Word = tuple[BasisElement, ...]
 
@@ -50,11 +56,6 @@ def from_lie(a: LieElement) -> UEAElement:
     return UEAElement.over({(b,): n for b, n in a.num.items()}, a.den)
 
 
-def multiply(a: UEAElement, b: UEAElement) -> UEAElement:
-    """The product in PBW normal form; ``a.convolve(b)`` is the free one."""
-    return pbw_normal_form(a.convolve(b))
-
-
 def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict:
     """Normal form ``{word: coefficient}`` of one word under pair rewriting.
 
@@ -66,6 +67,9 @@ def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict
     must be treated as read-only.  The descent runs post-order on an
     explicit stack, so long rewrite chains need no Python recursion; the
     rules must terminate.
+
+    It serves the straightening calculus and the rightmost PBW oracle;
+    the default PBW route is the kind-block insertion of :func:`_insert`.
     """
     got = memo.get(word)
     if got is not None:
@@ -101,7 +105,10 @@ def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict
     return memo[word]
 
 
-_NF_CACHE: dict[Word, dict[Word, int]] = caches.register({})
+# Normal forms {word: int}: of a word under the word, and of letter·head,
+# for a normal word head of lower kinds only, under the pair (letter, head).
+# A pair's second entry is a tuple, never a letter, so the keys stay apart.
+_NF_CACHE: dict[Word | tuple[BasisElement, Word], dict[Word, int]] = caches.register({})
 
 
 class NonIntegralBracket(ValueError):
@@ -133,16 +140,164 @@ def _cached_swap(a: BasisElement, b: BasisElement) -> dict:
     return got
 
 
-def pbw_normal_form(a: UEAElement, strategy: str = "leftmost") -> UEAElement:
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    rightmost = strategy == "rightmost"
-    # the oracle route shares no entries, not even the swap rule's
-    memo, rule = ({}, _swap) if rightmost else (_NF_CACHE, _cached_swap)
-    # word normal forms are integral, so a's numerators stay over its den
+def _join(head: Word, tail: Word) -> Word:
+    """The normal word of head·tail, both normal, when the seam is in
+    order or inside one kind: the shared block is sorted."""
+    if not head or not tail or head[-1] <= tail[0]:
+        return head + tail
+    return tuple(sorted(head + tail))
+
+
+def _insert(letter: BasisElement, word: Word):
+    """Terms (word, coefficient) of the normal form of letter·word, word normal.
+
+    Split the word into its lower-kind prefix and the rest.  The letter
+    passes the prefix by :func:`_pass` and meets the rest at a seam in
+    order or inside its own kind, which :func:`_join` closes.  Both steps
+    rest on the bracket's kind grading: letters of one kind commute, and a
+    bracket's letters have a kind between its arguments' kinds
+    (``test_bracket_kinds_keep_the_block_order`` in tests/test_uea.py pins
+    it).
+    """
+    i = bisect_left(word, (letter.kind,))
+    if not i:
+        return ((_join((letter,), word), 1),)
+    head, tail = word[:i], word[i:]
+    got = _NF_CACHE.get((letter, head))
+    if got is None:
+        got = _pass(letter, head)
+    if not tail:
+        return got.items()
+    return [(_join(w, tail), c) for w, c in got.items()]
+
+
+def _pass(letter: BasisElement, head: Word) -> dict:
+    """Normal form ``{word: coefficient}`` of letter·head, where head is
+    normal and every letter of head has a lower kind than the letter.
+
+    The letter passes head one letter b at a time, a·b·rest =
+    b·(a·rest) + [a,b]·rest.  b joins each term of a·rest at the front,
+    as by the grading noted at :func:`_insert` the terms of a·rest and
+    [a,b]·rest have letters of kinds from b's to a's only.  Each
+    letter·prefix met is memoized in ``_NF_CACHE`` under (letter, prefix):
+    a pass down head lists the missing ones level by level, and a pass
+    back up computes them, so a long head needs no Python recursion.
+    """
+    levels = [{(letter, head): None}]
+    while levels[-1]:
+        need: dict = {}
+        for a, w in levels[-1]:
+            b, rest = w[0], w[1:]
+            for mid in _cached_swap(a, b):
+                y = mid[-1]  # mid is b·a, or one letter of [a,b]
+                m = bisect_left(rest, (y.kind,))
+                if m and (key := (y, rest[:m])) not in _NF_CACHE:
+                    need[key] = None
+        levels.append(need)
+    for level in reversed(levels):
+        for key in level:
+            a, w = key
+            b, rest = w[0], w[1:]
+            out: dict = {}
+            for mid, c in _cached_swap(a, b).items():
+                passed = len(mid) == 2  # b joins in after a passes rest
+                for v, cc in _insert(mid[-1], rest):
+                    if passed:
+                        v = _join((b,), v)
+                    old = out.get(v)
+                    out[v] = c * cc if old is None else old + c * cc
+            _NF_CACHE[key] = {v: c for v, c in out.items() if c}
+    return _NF_CACHE[letter, head]
+
+
+def _word_nf(word: Word) -> dict:
+    """Normal form ``{word: coefficient}`` of one word.
+
+    Past its longest normal suffix the word's letters fold in from the
+    right through :func:`_insert`; each suffix so normalized is memoized
+    in ``_NF_CACHE`` under itself.
+    """
+    got = _NF_CACHE.get(word)
+    if got is not None:
+        return got
+    k = len(word) - 1
+    while k > 0 and word[k - 1] <= word[k]:
+        k -= 1
+    if k <= 0:
+        return {word: 1}
+    nf: dict = {word[k:]: 1}
+    for i in range(k - 1, -1, -1):
+        suffix = word[i:]
+        got = _NF_CACHE.get(suffix)
+        if got is None:
+            a, out = word[i], {}
+            for w, c in nf.items():
+                for ww, cc in _insert(a, w):
+                    old = out.get(ww)
+                    out[ww] = c * cc if old is None else old + c * cc
+            got = _NF_CACHE[suffix] = {w: c for w, c in out.items() if c}
+        nf = got
+    return nf
+
+
+def _is_normal(word: Word) -> bool:
+    return all(map(operator.le, word, word[1:]))
+
+
+def _normal_num(a: UEAElement) -> dict:
+    """a's numerators on normal words (``a.num`` itself if already so)."""
+    if all(map(_is_normal, a.num)):
+        return a.num
     out: dict = {}
     for w, n in a.num.items():
-        for ww, c in rewrite(w, operator.gt, rule, memo, rightmost).items():
+        for ww, c in _word_nf(w).items():
+            old = out.get(ww)
+            out[ww] = n * c if old is None else old + n * c
+    return out
+
+
+def multiply(a: UEAElement, b: UEAElement) -> UEAElement:
+    """The product in PBW normal form; ``a.convolve(b)`` is the free one.
+
+    Operands are brought to normal form first.  Two normal words u, v
+    join at the seam: u + v when ``u[-1] <= v[0]``; the one word with the
+    shared block sorted when u[-1] and v[0] have one kind; else the word
+    normal form of u + v.
+    """
+    out: dict = {}
+    nb = _normal_num(b).items()
+    for u, m in _normal_num(a).items():
+        kind = u[-1].kind if u else Kind.XMINUS  # the empty word joins any word
+        for v, n in nb:
+            c = m * n
+            if not v or kind <= v[0].kind:
+                terms = ((_join(u, v), 1),)
+            else:
+                terms = _word_nf(u + v).items()
+            for w, cc in terms:
+                old = out.get(w)
+                out[w] = c * cc if old is None else old + c * cc
+    return UEAElement.over(out, a.den * b.den)
+
+
+def pbw_normal_form(a: UEAElement, strategy: str = "leftmost") -> UEAElement:
+    """PBW normal form: x- block, h block, x+ block, each sorted.
+
+    The default strategy, "leftmost", folds each word through the
+    kind-block insertion and shares ``_NF_CACHE`` with :func:`multiply`.
+    "rightmost" is the oracle, a different algorithm: :func:`rewrite` on
+    the rightmost descent a > b, with a memo of its own and the unmemoized
+    swap rule.  Word normal forms are integral, so the result keeps a's
+    denominator.
+    """
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "leftmost":
+        return UEAElement.over(_normal_num(a), a.den)
+    memo: dict = {}  # the oracle route shares no entries, not even the swap rule's
+    out: dict = {}
+    for w, n in a.num.items():
+        for ww, c in rewrite(w, operator.gt, _swap, memo, rightmost=True).items():
             old = out.get(ww)
             out[ww] = n * c if old is None else old + n * c
     return UEAElement.over(out, a.den)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from onsager import cli
+from onsager import caches, cli
 from onsager.cli import main
 from onsager.expr import (
     Bracket,
@@ -167,6 +167,17 @@ def test_normalize_divided_power_of_a_sum(capsys):
     assert time.perf_counter() - start < 3
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "cd9d59b60c24ec2ca9cd6d7ed7cd08418f30c00a5788927770a3299b9da99aa2"
+
+
+def test_normalize_long_chain_needs_no_recursion(capsys):
+    # x+_1 passes 1100 x-_1 letters: a recursive insertion ran out of stack
+    # here and exited 2 with "input nests too deeply"
+    try:
+        assert main(["normalize", "xp(1)" + "*xm(1)" * 1100]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "381cbc4a03a02f53d86437445cd86fd1ce49fd6aad903d6015a1e9177350b832"
+    finally:
+        caches.clear_all()  # the chain's normal forms are long words
 
 
 def test_normalize_json_schema(capsys):

@@ -1,6 +1,7 @@
 """The shared sparse-combination behaviour of the four element types."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -182,3 +183,38 @@ def test_true_value_view_of_a_large_element_is_built_once():
     u = pbw_normal_form(evaluate(parse("dp(xp(2),3)*lam(2,3,3)*dp(xm(3),2)")))
     assert len(u.num) == 1383 and u.den != 1
     assert u.coeffs is u.coeffs
+
+
+def test_sum_and_bracket_fold_numerators_to_the_true_value():
+    from onsager import lie
+    from onsager.expr import evaluate, parse
+
+    XM1 = BasisElement(Kind.XMINUS, 1)
+    text = "1/2*xp(1) - 1/3*xp(1)*xm(1) + 5/6 - 1/6*xp(1) + h(2)"
+    assert evaluate(parse(text)) == UEAElement(
+        {(XP1,): Fraction(1, 3), (XP1, XM1): Fraction(-1, 3), (): Fraction(5, 6), (H2,): 1})
+
+    def by_true_values(a, b):
+        out = {}
+        for ba, ca in a.items():
+            for bb, cb in b.items():
+                for g, v in lie.bracket_basis(ba, bb).items():
+                    out[g] = out.get(g, 0) + ca * cb * v
+        return LieElement(out)
+
+    rng = random.Random(5)
+    letters = [BasisElement(k, i) for k in Kind for i in range(k != Kind.H, 4)]
+    original = lie._H_X_SCALE
+    try:
+        # a half-integral constant must still give the true value
+        for scale in (2, Fraction(1, 2), Fraction(3)):
+            lie._H_X_SCALE = scale
+            for _ in range(40):
+                a, b = (LieElement({g: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                    for g in rng.sample(letters, 3)}) for _ in range(2))
+                assert lie.bracket(a, b) == by_true_values(a, b)
+        lie._H_X_SCALE = Fraction(1, 2)
+        assert lie.bracket(lie.h(1), lie.xplus(1)) == LieElement(
+            {BasisElement(Kind.XPLUS, 2): Fraction(1, 2)})
+    finally:
+        lie._H_X_SCALE = original
