@@ -59,16 +59,14 @@ def d1_closed(sign: int, u: int, j: int, l: int) -> LieElement:
     """Degree-1 D ladder from the double-sum closed form."""
     a, b = (j, l) if sign > 0 else (l, j)
     gen = xplus if sign > 0 else xminus
-    out = LIE_ZERO
-    for k in range((u - 1) // 2 + 1) if u >= 1 else range(0):
-        for i in range(u + 2):
-            c = (-1) ** (k + i) * binom(u, k) * binom(u + 1, i)
-            out = out + gen((u + 1 - 2 * i) * a + (u - 2 * k) * b).scale(c)
+    terms = [((-1) ** (k + i) * binom(u, k) * binom(u + 1, i),
+              gen((u + 1 - 2 * i) * a + (u - 2 * k) * b))
+             for k in range((u - 1) // 2 + 1) for i in range(u + 2)]
     if (u + 1) % 2 == 1:  # u even: self-paired middle column
-        for i in range(u // 2 + 1):
-            c = (-1) ** (u // 2 + i) * binom(u, u // 2) * binom(u + 1, i)
-            out = out + gen((u + 1 - 2 * i) * a).scale(c)
-    return out
+        terms += [((-1) ** (u // 2 + i) * binom(u, u // 2) * binom(u + 1, i),
+                   gen((u + 1 - 2 * i) * a))
+                  for i in range(u // 2 + 1)]
+    return LieElement.combine(terms)
 
 
 _P_CACHE: dict = caches.register({})
@@ -84,16 +82,14 @@ def p_def(k: int, j: int, l: int) -> LieElement:
 
 def p_closed(u: int, j: int, l: int) -> LieElement:
     """p_u(j,l) as an explicit integer combination of h's."""
-    out = LIE_ZERO
-    for k in range((u - 1) // 2 + 1):
-        for i in range(u + 1):
-            c = (-1) ** (k + i) * binom(u, k) * binom(u, i)
-            out = out + h((u - 2 * i) * j + (u - 2 * k) * l).scale(c)
+    terms = [((-1) ** (k + i) * binom(u, k) * binom(u, i),
+              h((u - 2 * i) * j + (u - 2 * k) * l))
+             for k in range((u - 1) // 2 + 1) for i in range(u + 1)]
     if (u + 1) % 2 == 1:  # u even
-        for i in range(u + 1):
-            c = (-1) ** (u // 2 + i) * binom(u - 1, (u - 2) // 2) * binom(u, i)
-            out = out + h((u - 2 * i) * j).scale(c)
-    return out
+        terms += [((-1) ** (u // 2 + i) * binom(u - 1, (u - 2) // 2) * binom(u, i),
+                   h((u - 2 * i) * j))
+                  for i in range(u + 1)]
+    return LieElement.combine(terms)
 
 
 def bracket_x_lambda1(k: int, j: int, l: int) -> LieElement:
@@ -125,10 +121,9 @@ def lambda_rec(j: int, l: int, k: int) -> UEAElement:
     key = (j, l, k)
     got = _LAMBDA_CACHE.get(key)
     if got is None:
-        acc = UEA_ZERO
-        for i in range(1, k + 1):
-            acc = acc + multiply(from_lie(p_def(i, j, l)), lambda_rec(j, l, k - i))
-        got = _LAMBDA_CACHE[key] = acc.divide(-k)
+        got = _LAMBDA_CACHE[key] = UEAElement.combine(
+            ((-1, multiply(from_lie(p_def(i, j, l)), lambda_rec(j, l, k - i)))
+             for i in range(1, k + 1)), k)
     return got
 
 
@@ -169,12 +164,9 @@ def duv_rec(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
         return UEA_ONE if u == 0 else UEA_ZERO
     key = (sign, u, v, j, l)
     if key not in _DUV_CACHE:
-        acc = UEA_ZERO
-        for i in range(u + 1):
-            acc = acc + multiply(
-                from_lie(d1_rec(sign, i, j, l)), duv_rec(sign, u - i, v - 1, j, l)
-            )
-        _DUV_CACHE[key] = acc.divide(v)
+        _DUV_CACHE[key] = UEAElement.combine(
+            ((1, multiply(from_lie(d1_rec(sign, i, j, l)), duv_rec(sign, u - i, v - 1, j, l)))
+             for i in range(u + 1)), v)
     return _DUV_CACHE[key]
 
 
@@ -208,14 +200,14 @@ def duv_multinomial(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
         return UEA_ZERO
     if v == 0:
         return UEA_ONE if u == 0 else UEA_ZERO
-    acc = UEA_ZERO
+    terms = []
     for ks in exponent_tuples(u, v):
         term = UEA_ONE
         for i, k in enumerate(ks):
             if k:
                 term = multiply(term, divided_power(d1_rec(sign, i, j, l), k))
-        acc = acc + term
-    return acc
+        terms.append((1, term))
+    return UEAElement.combine(terms)
 
 
 def duv_series(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
@@ -247,29 +239,20 @@ def duv_series(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
 def d_triple(sign: int, u: int, j: int, k: int, m: int) -> LieElement:
     """Three-index D element: alternating binomial combination of x's."""
     gen = xplus if sign > 0 else xminus
-    out = LIE_ZERO
-    for n in range(u + 1):
-        for v in range(u + 1):
-            c = (-1) ** (n + v) * binom(u, n) * binom(u, v)
-            out = out + gen(j + (u - 2 * n) * k + (u - 2 * v) * m).scale(c)
-    return out
+    return LieElement.combine(((-1) ** (n + v) * binom(u, n) * binom(u, v),
+                               gen(j + (u - 2 * n) * k + (u - 2 * v) * m))
+                              for n in range(u + 1) for v in range(u + 1))
 
 
 def p_via_lambda_odd(n: int, j: int, l: int) -> LieElement:
     """p_{2n+1}(j,l) as a double sum of order-1 Lambda elements."""
-    out = LIE_ZERO
-    for i in range(n + 1):
-        for k in range(n + 1):
-            c = (-1) ** (k + i + 1) * binom(2 * n + 1, i) * binom(2 * n + 1, k)
-            out = out + lambda1((2 * n + 1 - 2 * i) * j, (2 * n + 1 - 2 * k) * l).scale(c)
-    return out
+    return LieElement.combine(((-1) ** (k + i + 1) * binom(2 * n + 1, i) * binom(2 * n + 1, k),
+                               lambda1((2 * n + 1 - 2 * i) * j, (2 * n + 1 - 2 * k) * l))
+                              for i in range(n + 1) for k in range(n + 1))
 
 
 def p_via_lambda_even(n: int, j: int, l: int) -> LieElement:
     """p_{2n}(j,l) as a double sum of order-1 Lambda elements."""
-    out = LIE_ZERO
-    for i in range(n):
-        for k in range(2 * n + 1):
-            c = (-1) ** (k + i + 1) * binom(2 * n - 1, i) * binom(2 * n, k)
-            out = out + lambda1((2 * n - 1 - 2 * i) * j + (2 * n - 2 * k) * l, j).scale(c)
-    return out
+    return LieElement.combine(((-1) ** (k + i + 1) * binom(2 * n - 1, i) * binom(2 * n, k),
+                               lambda1((2 * n - 1 - 2 * i) * j + (2 * n - 2 * k) * l, j))
+                              for i in range(n) for k in range(2 * n + 1))

@@ -16,12 +16,11 @@ the input's parentheses, brackets, call arguments and unary minus chains.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie import LieElement, bracket, h, xminus, xplus
-from .uea import UEAElement, UEA_ONE, binomial, divided_power, from_lie
+from .uea import UEAElement, UEA_ONE, binomial, divided_power, from_lie, pbw_normal_form
 from .elements import d1_closed, d_triple, duv_rec, lambda_rec, p_def
 
 
@@ -253,13 +252,17 @@ def parse(text: str):
 # Evaluation
 
 def as_lie(u: UEAElement) -> LieElement:
-    """Degree-one part extraction; DomainError on anything else."""
-    coeffs = {}
-    for w, c in u.coeffs.items():
-        if len(w) != 1:
+    """The Lie element of a degree-one value; DomainError on anything else.
+
+    A value with a word of any other length is read in PBW normal form,
+    so a product that reduces to degree one, such as ``[x+_1, x-_1]``
+    written ``xp(1)*xm(1)-xm(1)*xp(1)``, is accepted.
+    """
+    if any(len(w) != 1 for w in u.num):
+        u = pbw_normal_form(u)
+        if any(len(w) != 1 for w in u.num):
             raise DomainError("expected a degree-one element")
-        coeffs[w[0]] = coeffs.get(w[0], 0) + c
-    return LieElement(coeffs)
+    return LieElement.over({w[0]: n for w, n in u.num.items()}, u.den)
 
 
 def _sign(s: str) -> int:
@@ -270,15 +273,7 @@ def evaluate(e) -> UEAElement:
     if isinstance(e, Call):
         return _evaluate_call(e)
     if isinstance(e, Sum):
-        terms = [(sign, evaluate(term)) for sign, term in e.terms]
-        den = math.lcm(*(t.den for _, t in terms))
-        out: dict = {}
-        for sign, t in terms:
-            f = sign * (den // t.den)
-            for w, n in t.num.items():
-                old = out.get(w)
-                out[w] = f * n if old is None else old + f * n
-        return UEAElement.over(out, den)
+        return UEAElement.combine((sign, evaluate(term)) for sign, term in e.terms)
     if isinstance(e, Product):
         # a free product: perfbench's oracle checks `normalize` by rewriting
         # it rightmost-first, which a normal form would leave nothing to do

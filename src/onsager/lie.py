@@ -35,6 +35,14 @@ class BasisElement(NamedTuple):
     index: int
 
 
+def add_scaled(out: dict, c, terms) -> dict:
+    """``out[k] += c*v`` for each (k, v) of terms, zeros kept; returns out."""
+    for k, v in terms:
+        old = out.get(k)
+        out[k] = c * v if old is None else old + c * v
+    return out
+
+
 class LinComb:
     """Finite combination of keys with nonzero coefficients.
 
@@ -47,7 +55,8 @@ class LinComb:
     own subclass; equality is type-exact, so two kinds of element never
     compare equal by accident.  Laurent polynomials keep Gaussian-rational
     numerators over ``den`` 1.  The constructor takes true values;
-    :meth:`over` takes numerators and a denominator.
+    :meth:`over` takes numerators and a denominator, and :meth:`combine`
+    is the one scaled sum of elements.
 
     ``coeffs`` (and :meth:`items`) is the true-value view: an ``int``
     where a value is integral, else a ``Fraction``.  It is built at most
@@ -114,19 +123,27 @@ class LinComb:
         return ({k: fa * n for k, n in self.num.items()},
                 {k: fb * n for k, n in other.num.items()}, den)
 
+    @classmethod
+    def combine(cls, terms, den: int = 1):
+        """The element sum c*x / den over (``int`` c, element x) pairs.
+
+        Numerators are summed over the lcm of the x's denominators, and
+        brought to lowest terms once.
+        """
+        terms = [(c, x) for c, x in terms if c and x.num]
+        common = math.lcm(*(x.den for _, x in terms))
+        out: dict = {}
+        for c, x in terms:
+            add_scaled(out, c * (common // x.den), x.num.items())
+        return cls.over(out, common * den)
+
     def __add__(self, other):
         out, add, den = self._common(other)
-        for k, n in add.items():
-            old = out.get(k)
-            out[k] = n if old is None else old + n
-        return self.over(out, den)
+        return self.over(add_scaled(out, 1, add.items()), den)
 
     def __sub__(self, other):
         out, sub, den = self._common(other)
-        for k, n in sub.items():
-            old = out.get(k)
-            out[k] = -n if old is None else old - n
-        return self.over(out, den)
+        return self.over(add_scaled(out, -1, sub.items()), den)
 
     def __neg__(self):
         return self._raw({k: -n for k, n in self.num.items()}, self.den)
@@ -244,9 +261,10 @@ def h(k: int) -> LieElement:
 
 
 # Scale of the [h, x] structure constants.  The true value is 2; tests
-# corrupt this to exercise failure reporting in the verifier.  It must stay
-# integral: PBW word normal forms are summed as integer numerators, and
-# ``uea._swap`` raises on a non-integral bracket.
+# corrupt this to exercise failure reporting in the verifier.  ``bracket``
+# sums any rational constant exactly, but the PBW layer needs it integral:
+# word normal forms are summed as integer numerators, and ``uea._swap``
+# raises on a non-integral bracket.
 _H_X_SCALE = 2
 
 
@@ -271,25 +289,15 @@ def bracket_basis(a: BasisElement, b: BasisElement) -> LieElement:
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
-    terms = [(na * nb, t) for ba, na in a.num.items() for bb, nb in b.num.items()
-             if (t := bracket_basis(ba, bb)).num]
-    den = math.lcm(*(t.den for _, t in terms))  # 1 while the constants are integers
-    out: dict = {}
-    for c, t in terms:
-        c *= den // t.den
-        for g, v in t.num.items():
-            old = out.get(g)
-            out[g] = c * v if old is None else old + c * v
-    return LieElement.over(out, a.den * b.den * den)
+    return LieElement.combine(((na * nb, bracket_basis(ba, bb))
+                               for ba, na in a.num.items() for bb, nb in b.num.items()),
+                              a.den * b.den)
+
+
+_FLIP = {Kind.XMINUS: Kind.XPLUS, Kind.H: Kind.H, Kind.XPLUS: Kind.XMINUS}
 
 
 def tau(a: LieElement) -> LieElement:
     """Flip automorphism: x+ <-> x-, h -> -h."""
-    out: dict = {}
-    for b, c in a.coeffs.items():
-        if b.kind == Kind.H:
-            out[b] = -c
-        else:
-            flipped = Kind.XMINUS if b.kind == Kind.XPLUS else Kind.XPLUS
-            out[BasisElement(flipped, b.index)] = c
-    return LieElement(out)
+    return LieElement.over({BasisElement(_FLIP[b.kind], b.index): -n if b.kind == Kind.H else n
+                            for b, n in a.num.items()}, a.den)

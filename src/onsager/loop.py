@@ -34,6 +34,10 @@ class GaussianRational:
             self.re * other.im + self.im * other.re,
         )
 
+    def __rmul__(self, c: int):
+        # 1*g is how a sum of Laurent polynomials adds (``lie.add_scaled``)
+        return self if c == 1 else GaussianRational(c * self.re, c * self.im)
+
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 from . import caches, linalg
-from .lie import Kind, LieElement, LinComb, xminus, xplus
+from .lie import Kind, LieElement, LinComb, add_scaled, xminus, xplus
 from .uea import (
     UEAElement,
     UEA_ONE,
@@ -173,17 +173,8 @@ def expand_word(w: MWord) -> UEAElement:
 
 
 def expand(m: MForm) -> UEAElement:
-    """The PBW normal form of an ordered-monomial form, summed in ints
-    over the lcm of the word expansions' denominators."""
-    parts = [(n, expand_word(w)) for w, n in m.num.items()]
-    den = math.lcm(*(e.den for _, e in parts))
-    out: dict = {}
-    for n, e in parts:
-        f = n * (den // e.den)
-        for ww, c in e.num.items():
-            old = out.get(ww)
-            out[ww] = f * c if old is None else old + f * c
-    return UEAElement.over(out, den * m.den)
+    """The PBW normal form of an ordered-monomial form."""
+    return UEAElement.combine(((n, expand_word(w)) for w, n in m.num.items()), m.den)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +219,7 @@ def divided_x(a: LieElement, v: int) -> MForm:
 def _ladder(layer, weight: int, total: int) -> MForm:
     """Sum over exponent tuples (k_0..k_weight) with total ``total`` and
     weight ``weight`` of the products of ``divided_x(layer(i), k_i)``."""
-    out = M_ZERO
+    terms = []
     for ks in exponent_tuples(weight, total):
         term = M_ONE
         for i, k in enumerate(ks):
@@ -236,8 +227,8 @@ def _ladder(layer, weight: int, total: int) -> MForm:
                 term = term * divided_x(layer(i), k)
                 if term.is_zero:
                     break
-        out = out + term
-    return out
+        terms.append((1, term))
+    return MForm.combine(terms)
 
 
 _DUV_MFORM: dict = caches.register({})
@@ -275,7 +266,7 @@ def straighten_plus_minus(j: int, r: int, l: int, s: int) -> MForm:
     D blocks are expanded multinomially so the result is a combination
     of single-generator divided powers around a Lambda factor.
     """
-    out = M_ZERO
+    terms = []
     cutoff = min(r, s)
     for m in range(cutoff + 1):
         for n in range(cutoff - m + 1):
@@ -287,9 +278,8 @@ def straighten_plus_minus(j: int, r: int, l: int, s: int) -> MForm:
                 right = duv_mform(1, q, r - m - n - q, j, l)
                 if right.is_zero:
                     continue
-                sgn = -1 if (m + n + q) % 2 else 1
-                out = out + (left * mid * right).scale(sgn)
-    return out
+                terms.append(((-1) ** (m + n + q), left * mid * right))
+    return MForm.combine(terms)
 
 
 def move_x_past_lambda(sign: int, x_index: int, r: int,
@@ -302,12 +292,12 @@ def move_x_past_lambda(sign: int, x_index: int, r: int,
     since divided_x(c a, v) = c^v divided_x(a, v).
     """
     k, m = pair
-    out = M_ZERO
+    terms = []
     for i in range(n + 1):
         lam = monomial(lfactor(k, m, n - i)) if n - i else M_ONE
         inner = _ladder(lambda u: d_triple(sign, u, x_index, k, m).scale(u + 1), i, r)
-        out = out + (lam * inner if sign > 0 else inner * lam)
-    return out
+        terms.append((1, lam * inner if sign > 0 else inner * lam))
+    return MForm.combine(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +351,7 @@ def _y_coordinates(component: LinComb) -> LinComb:
 
     total: dict = {}
     for word, n in component.num.items():
-        for mono, k in expansion(word).items():
-            total[mono] = total.get(mono, 0) + n * k
+        add_scaled(total, n, expansion(word).items())
     total = LinComb.over(total, component.den)
     if any(mono and mono[0] < 2 for mono in total.num):
         bad = {}
@@ -448,14 +437,14 @@ def normalize_to_basis(m: MForm) -> MForm:
     the leftmost out-of-order pair by the rules above, with one memo per
     call.  The out-of-order rules strictly reduce either the mdegree of
     the messy part or an inversion count at fixed mdegree, so the
-    rewriting terminates.
+    rewriting terminates.  Every rule has integer coefficients, so the
+    normal form is summed on ``m``'s numerators over its denominator.
     """
     memo: dict = {}
     result: dict = {}
-    for word, coeff in m.items():
-        for w, c in rewrite(word, _out_of_order, _rewrite_pair, memo).items():
-            result[w] = result.get(w, 0) + coeff * c
-    return MForm(result)
+    for word, n in m.num.items():
+        add_scaled(result, n, rewrite(word, _out_of_order, _rewrite_pair, memo).items())
+    return MForm.over(result, m.den)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import operator
 from bisect import bisect_left
 
 from . import caches
-from .lie import BasisElement, Kind, LieElement, LinComb, basis_to_text, bracket_basis
+from .lie import BasisElement, Kind, LieElement, LinComb, add_scaled, basis_to_text, bracket_basis
 
 Word = tuple[BasisElement, ...]
 
@@ -87,9 +87,7 @@ def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict
                 continue
             out: dict = {}
             for k, c in pieces:
-                for ww, cc in memo[k].items():
-                    old = out.get(ww)
-                    out[ww] = c * cc if old is None else old + c * cc
+                add_scaled(out, c, memo[k].items())
             memo[w] = {ww: cc for ww, cc in out.items() if cc}
             continue
         for i in range(len(w) - 2, -1, -1) if rightmost else range(len(w) - 1):
@@ -200,12 +198,10 @@ def _pass(letter: BasisElement, head: Word) -> dict:
             b, rest = w[0], w[1:]
             out: dict = {}
             for mid, c in _cached_swap(a, b).items():
-                passed = len(mid) == 2  # b joins in after a passes rest
-                for v, cc in _insert(mid[-1], rest):
-                    if passed:
-                        v = _join((b,), v)
-                    old = out.get(v)
-                    out[v] = c * cc if old is None else old + c * cc
+                terms = _insert(mid[-1], rest)
+                if len(mid) == 2:  # b joins in after a passes rest
+                    terms = [(_join((b,), v), cc) for v, cc in terms]
+                add_scaled(out, c, terms)
             _NF_CACHE[key] = {v: c for v, c in out.items() if c}
     return _NF_CACHE[letter, head]
 
@@ -232,9 +228,7 @@ def _word_nf(word: Word) -> dict:
         if got is None:
             a, out = word[i], {}
             for w, c in nf.items():
-                for ww, cc in _insert(a, w):
-                    old = out.get(ww)
-                    out[ww] = c * cc if old is None else old + c * cc
+                add_scaled(out, c, _insert(a, w))
             got = _NF_CACHE[suffix] = {w: c for w, c in out.items() if c}
         nf = got
     return nf
@@ -250,9 +244,7 @@ def _normal_num(a: UEAElement) -> dict:
         return a.num
     out: dict = {}
     for w, n in a.num.items():
-        for ww, c in _word_nf(w).items():
-            old = out.get(ww)
-            out[ww] = n * c if old is None else old + n * c
+        add_scaled(out, n, _word_nf(w).items())
     return out
 
 
@@ -269,14 +261,11 @@ def multiply(a: UEAElement, b: UEAElement) -> UEAElement:
     for u, m in _normal_num(a).items():
         kind = u[-1].kind if u else Kind.XMINUS  # the empty word joins any word
         for v, n in nb:
-            c = m * n
             if not v or kind <= v[0].kind:
                 terms = ((_join(u, v), 1),)
             else:
                 terms = _word_nf(u + v).items()
-            for w, cc in terms:
-                old = out.get(w)
-                out[w] = c * cc if old is None else old + c * cc
+            add_scaled(out, m * n, terms)
     return UEAElement.over(out, a.den * b.den)
 
 
@@ -297,9 +286,7 @@ def pbw_normal_form(a: UEAElement, strategy: str = "leftmost") -> UEAElement:
     memo: dict = {}  # the oracle route shares no entries, not even the swap rule's
     out: dict = {}
     for w, n in a.num.items():
-        for ww, c in rewrite(w, operator.gt, _swap, memo, rightmost=True).items():
-            old = out.get(ww)
-            out[ww] = n * c if old is None else old + n * c
+        add_scaled(out, n, rewrite(w, operator.gt, _swap, memo, rightmost=True).items())
     return UEAElement.over(out, a.den)
 
 

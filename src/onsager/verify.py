@@ -142,13 +142,11 @@ def _chk_XKL1(k, j, l) -> Check:
 
 def _chk_XJLN(j, k, m, n) -> Check:
     lhs = multiply(from_lie(xplus(j)), lambda_rec(k, m, n))
-    rhs = UEA_ZERO
-    for i in range(n + 1):
-        for r in range(i + 1):
-            for s in range(i + 1):
-                c = (-1) ** (r + s) * (i + 1) * binom(i, r) * binom(i, s)
-                tail = from_lie(xplus(j + (i - 2 * r) * k + (i - 2 * s) * m))
-                rhs = rhs + multiply(lambda_rec(k, m, n - i), tail).scale(c)
+    rhs = UEAElement.combine(
+        ((-1) ** (r + s) * (i + 1) * binom(i, r) * binom(i, s),
+         multiply(lambda_rec(k, m, n - i),
+                  from_lie(xplus(j + (i - 2 * r) * k + (i - 2 * s) * m))))
+        for i in range(n + 1) for r in range(i + 1) for s in range(i + 1))
     return _eq_u(lhs, rhs)
 
 
@@ -201,10 +199,9 @@ def _chk_BPD(m, u, j, l) -> Check:
 
 def _chk_DU1L(u, n, j, l) -> Check:
     lhs = multiply(from_lie(d1_closed(1, u, j, l)), lambda_rec(j, l, n))
-    rhs = UEA_ZERO
-    for i in range(n + 1):
-        term = multiply(lambda_rec(j, l, n - i), from_lie(d1_closed(1, i + u, j, l)))
-        rhs = rhs + term.scale(i + 1)
+    rhs = UEAElement.combine(
+        (i + 1, multiply(lambda_rec(j, l, n - i), from_lie(d1_closed(1, i + u, j, l))))
+        for i in range(n + 1))
     return _eq_u(lhs, rhs)
 
 
@@ -218,12 +215,10 @@ def _chk_LDP(i, k, j, l) -> Check:
 
 
 def _chk_UD(sign, u, v, j, l) -> Check:
-    rhs1 = UEA_ZERO
-    rhs2 = UEA_ZERO
-    for i in range(u + 1):
-        t = multiply(from_lie(d1_closed(sign, i, j, l)), duv_rec(sign, u - i, v - 1, j, l))
-        rhs1 = rhs1 + t.scale(i)
-        rhs2 = rhs2 + t.scale(i + 1)
+    ts = [multiply(from_lie(d1_closed(sign, i, j, l)), duv_rec(sign, u - i, v - 1, j, l))
+          for i in range(u + 1)]
+    rhs1 = UEAElement.combine((i, t) for i, t in enumerate(ts))
+    rhs2 = UEAElement.combine((i + 1, t) for i, t in enumerate(ts))
     base = duv_rec(sign, u, v, j, l)
     ok1, ce1 = _eq_u(base.scale(u), rhs1)
     if not ok1:
@@ -232,21 +227,17 @@ def _chk_UD(sign, u, v, j, l) -> Check:
 
 
 def _chk_LDXM(n, v, j, l) -> Check:
-    lhs = UEA_ZERO
-    for i in range(n + 1):
-        lhs = lhs + multiply(multiply(lambda_rec(j, l, i), duv_rec(1, n - i, v, j, l)),
-                             from_lie(xminus(l)))
-    rhs = UEA_ZERO
-    for u in range(n + 2):
-        rhs = rhs + multiply(lambda_rec(j, l, n + 1 - u),
-                             duv_rec(1, u, v - 1, j, l)).scale(-(n + 1))
-    for m in range(n + 1):
-        for k in range(n - m + 1):
-            term = multiply(multiply(from_lie(d1_closed(-1, m, j, l)),
-                                     lambda_rec(j, l, n - m - k)),
-                            duv_rec(1, k, v, j, l))
-            rhs = rhs + term.scale(m + 1)
-    return _eq_u(lhs, rhs)
+    lhs = UEAElement.combine(
+        (1, multiply(multiply(lambda_rec(j, l, i), duv_rec(1, n - i, v, j, l)),
+                     from_lie(xminus(l))))
+        for i in range(n + 1))
+    terms = [(-(n + 1), multiply(lambda_rec(j, l, n + 1 - u), duv_rec(1, u, v - 1, j, l)))
+             for u in range(n + 2)]
+    terms += [(m + 1, multiply(multiply(from_lie(d1_closed(-1, m, j, l)),
+                                        lambda_rec(j, l, n - m - k)),
+                               duv_rec(1, k, v, j, l)))
+              for m in range(n + 1) for k in range(n - m + 1)]
+    return _eq_u(lhs, UEAElement.combine(terms))
 
 
 def _chk_LL(j, l, k, m) -> Check:

@@ -247,6 +247,19 @@ def test_audit_commands(capsys):
     assert digest == "2501ab22a0034b4594f973d29e8ff2224d16f4c098e5366a46bcd295a4014175"
 
 
+def test_degree_one_values_written_as_products(capsys):
+    # [x+_1, x-_1] written as a commutator of words is h(2) - h(0)
+    for argv in (["bracket", "{}", "xp(1)"], ["realize", "{}"], ["normalize", "dp({},2)"]):
+        outs = []
+        for value in ("xp(1)*xm(1)-xm(1)*xp(1)", "h(2)-h(0)"):
+            assert main([arg.format(value) for arg in argv]) == 0, argv
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], argv
+    for text in ("[xp(1)*xp(2), h(0)]", "dp(xp(1)*xm(1),2)"):
+        assert main(["normalize", text]) == 2
+        assert capsys.readouterr().err == "domain error: expected a degree-one element\n"
+
+
 def test_realize_command(capsys):
     assert main(["realize", "h(0)"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +86,7 @@ def test_tau_is_bracket_automorphism():
     assert tau(xplus(3)) == xminus(3)
     assert tau(h(2)) == -h(2)
     assert tau(tau(xminus(4))) == xminus(4)
+    assert tau(h(2).scale(Fraction(1, 3)) - xplus(1)) == -h(2).scale(Fraction(1, 3)) - xminus(1)
 
 
 def test_zero_behaviour():

@@ -218,3 +218,33 @@ def test_sum_and_bracket_fold_numerators_to_the_true_value():
             {BasisElement(Kind.XPLUS, 2): Fraction(1, 2)})
     finally:
         lie._H_X_SCALE = original
+
+
+def _element(cls, k1, k2):
+    """An element of cls over two keys with true values of mixed
+    denominators, sometimes zero."""
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    return st.builds(lambda a, b: cls({k1: a, k2: b}), value, value)
+
+
+@pytest.mark.parametrize("name", ["lie", "uea", "mform"])
+@given(data=st.data())
+@settings(deadline=None)
+def test_combine_is_the_chained_sum_in_lowest_terms(name, data):
+    cls, k1, k2 = CASES[name][:3]
+    terms = data.draw(st.lists(st.tuples(st.integers(-5, 5), _element(cls, k1, k2)),
+                               max_size=5))
+    den = data.draw(st.integers(1, 12))
+    chained = cls()
+    ref: dict = {}
+    for c, x in terms:
+        chained = chained + x.scale(c)
+        for k, v in x.items():
+            ref[k] = ref.get(k, 0) + c * Fraction(v)
+    ref = {k: v / den for k, v in ref.items() if v}
+    for got in (cls.combine(terms, den), cls.combine(iter(terms), den)):
+        assert type(got) is cls and _canonical(got)
+        assert got.coeffs == ref
+        assert got == chained.divide(den)
+    assert cls.combine([]) == cls() == cls.combine([], den)
+    assert cls.combine(terms) == chained

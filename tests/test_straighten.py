@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from onsager.elements import binom, lambda_rec
-from onsager.lie import LIE_ZERO, LinComb, h, xminus, xplus
+from onsager.elements import binom, d_triple, duv_rec, lambda_rec
+from onsager.lie import LIE_ZERO, BasisElement, Kind, LinComb, bracket_basis, h, xminus, xplus
 from onsager import caches
 from onsager.uea import UEA_ONE, divided_power, equal, from_lie, multiply, pbw_normal_form
 from onsager.straighten import (
@@ -327,3 +327,35 @@ def test_expand_word_is_the_normal_form_of_the_free_product():
         for f in w:
             free = free.convolve(expand_factor(f))
         assert expand_word(w) == pbw_normal_form(free), w
+
+
+def _grades(words) -> set:
+    """The (charge, total-index parity) of each word: charge counts x+
+    letters minus x- letters."""
+    charge = {Kind.XMINUS: -1, Kind.H: 0, Kind.XPLUS: 1}
+    return {(sum(charge[b.kind] for b in w), sum(b.index for b in w) % 2) for w in words}
+
+
+def test_kernel_values_are_homogeneous_in_charge_and_parity():
+    # the bracket adds grades
+    letters = [BasisElement(k, i) for k in Kind for i in range(k != Kind.H, 7)]
+    for a, b in itertools.product(letters, repeat=2):
+        (grade,) = _grades([(a, b)])
+        assert _grades((g,) for g in bracket_basis(a, b).num) <= {grade}, (a, b)
+    # the constructions, at the default verify grid
+    index, order = range(1, 4), range(4)
+    values = [lambda_rec(j, l, k) for j in index for l in index for k in order]
+    values += [duv_rec(s, u, v, j, l) for s in (1, -1) for u in order for v in order
+               for j in index for l in index]
+    values += [from_lie(d_triple(s, u, j, k, m)) for s in (1, -1) for u in order
+               for j in index for k in index for m in index]
+    # the straightening rules, at indices and orders <= 3
+    values += [expand(straighten_plus_minus(j, r, l, s))
+               for j in index for l in index for r in order for s in order]
+    values += [expand(move_x_past_lambda(s, i, r, (k, m), n)) for s in (1, -1)
+               for i in index for r in order for k in index for m in index if m <= k
+               for n in order]
+    values += [expand(merge_lambda_pair(j, l, k, m)) for j in index for l in index
+               if l <= j for k in order if k for m in order if m]
+    for u in values:
+        assert len(_grades(u.num)) <= 1, u
