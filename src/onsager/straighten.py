@@ -494,8 +494,11 @@ def coordinates(a: UEAElement, max_mdegree: int, max_index: int) -> dict:
     are dependent (the kernel is attached for reporting).
     """
     basis = enumerate_basis(max_mdegree, max_index)
-    solution, kernel = linalg.solve_columns([expand_word(w).coeffs for w in basis],
-                                            pbw_normal_form(a).coeffs)
+    expansions = [expand_word(w) for w in basis]
+    target = pbw_normal_form(a)
+    solution, kernel = linalg.solve_columns([e.num for e in expansions],
+                                            [e.den for e in expansions],
+                                            target.num, target.den)
     if solution is None:
         raise OutOfTruncation(
             f"no expression within mdegree {max_mdegree}, index {max_index}")

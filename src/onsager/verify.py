@@ -468,15 +468,17 @@ def audit_span(parity: str, cutoff: int) -> SpanReport:
         raise ValueError("cutoff must be >= 1")
     want = 0 if parity == "even" else 1
     indices = [k for k in range(cutoff, -1, -1) if k % 2 == want]
-    rows = []
+    nums, dens = [], []
     for j in range(1, cutoff + 1):
         for l in range(1, j + 1):
             i = 1
             while i * (j + l) <= cutoff:
                 if (i * (j + l)) % 2 == want:
-                    rows.append({b.index: c for b, c in p_closed(i, j, l).items()})
+                    p = p_closed(i, j, l)
+                    nums.append({b.index: n for b, n in p.num.items()})
+                    dens.append(p.den)
                 i += 1
-    pivots, _ = linalg.rref(rows)
+    pivots, _ = linalg.rref(nums, dens)
     quotient = [k for k in indices if k not in pivots]
     return SpanReport(parity, cutoff, len(indices), len(pivots), quotient)
 
@@ -510,7 +512,7 @@ def audit_theorem(max_mdegree: int, max_index: int) -> TheoremReport:
     """
     basis = enumerate_basis(max_mdegree, max_index)
     expansions = [expand_word(w) for w in basis]
-    rk = len(linalg.rref([e.coeffs for e in expansions])[0])
+    rk = len(linalg.rref([e.num for e in expansions], [e.den for e in expansions])[0])
 
     def leading(e: UEAElement):
         return max(e.num, key=lambda w: (len(w), w))

@@ -245,6 +245,10 @@ def test_audit_commands(capsys):
                  "--format", "json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "2501ab22a0034b4594f973d29e8ff2224d16f4c098e5366a46bcd295a4014175"
+    assert main(["audit", "theorem", "--mdegree", "4", "--index", "4",
+                 "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "eb19fc3d54d550395cc31adc3c4c79d24db26290727ef6027c257f50a4a73780"
 
 
 def test_degree_one_values_written_as_products(capsys):
