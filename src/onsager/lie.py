@@ -53,8 +53,7 @@ class LinComb:
     every numerator) = 1, so equal elements have equal ``num`` and
     ``den``.  Arithmetic runs on the numerators and returns the operand's
     own subclass; equality is type-exact, so two kinds of element never
-    compare equal by accident.  Laurent polynomials keep Gaussian-rational
-    numerators over ``den`` 1.  The constructor takes true values;
+    compare equal by accident.  The constructor takes true values;
     :meth:`over` takes numerators and a denominator, and :meth:`combine`
     is the one scaled sum of elements.
 
@@ -67,8 +66,7 @@ class LinComb:
     __slots__ = ("num", "den", "_view")
 
     def __init__(self, coeffs: dict | None = None):
-        """Element with the true values ``coeffs`` (``int``, ``Fraction``,
-        or Gaussian rationals for Laurent polynomials)."""
+        """Element with the true values ``coeffs`` (``int`` or ``Fraction``)."""
         num = {k: c for k, c in (coeffs or {}).items() if c}
         dens = [c.denominator for c in num.values() if type(c) is Fraction]
         den = math.lcm(*dens)
@@ -149,8 +147,7 @@ class LinComb:
         return self._raw({k: -n for k, n in self.num.items()}, self.den)
 
     def scale(self, c):
-        """Product with an ``int``, a ``Fraction``, or (for Laurent
-        polynomials, over ``den`` 1) a Gaussian rational."""
+        """Product with an ``int`` or a ``Fraction``."""
         if type(c) is Fraction:
             return self.scale(c.numerator).divide(c.denominator)
         if not c:
@@ -176,8 +173,8 @@ class LinComb:
         return self._raw(num, self.den * (d // g))
 
     def convolve(self, other):
-        """Keyed product: keys combine by ``+`` (tuples concatenate,
-        exponents add) and coefficients multiply."""
+        """Keyed product: keys combine by ``+`` (tuples concatenate) and
+        coefficients multiply."""
         out: dict = {}
         for ka, ca in self.num.items():
             for kb, cb in other.num.items():

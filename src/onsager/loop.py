@@ -9,77 +9,49 @@ constant cross-checks meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lie import BasisElement, Kind, LieElement, LinComb, bracket, generator
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """re + i*im with exact parts: ``int``, or a ``Fraction`` once a
-    half has entered (``HALF``)."""
-
-    re: int | Fraction = 0
-    im: int | Fraction = 0
-
-    def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __rmul__(self, c: int):
-        # 1*g is how a sum of Laurent polynomials adds (``lie.add_scaled``)
-        return self if c == 1 else GaussianRational(c * self.re, c * self.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __repr__(self):
-        sign = "+" if self.im >= 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
-
-
-GR0 = GaussianRational()
-GR1 = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
-
-
-def gr(re=0, im=0) -> GaussianRational:
-    return GaussianRational(re, im)
-
-
 class LaurentPoly(LinComb):
-    """Finite map exponent -> Gaussian-rational coefficient."""
+    """Laurent polynomial with Gaussian-rational coefficients: the key
+    ``(e, r)``, with r in {0, 1}, stands for i^r * t^e."""
 
     __slots__ = ()
 
-    __mul__ = LinComb.convolve
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Keyed product: exponents add, and i*i = -1."""
+        out: dict = {}
+        for (ea, ra), na in self.num.items():
+            for (eb, rb), nb in other.num.items():
+                k = (ea + eb, ra ^ rb)
+                c = -na * nb if ra & rb else na * nb
+                old = out.get(k)
+                out[k] = c if old is None else old + c
+        return self.over(out, self.den * other.den)
 
     def invert_t(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
+        return self._raw({(-e, r): n for (e, r), n in self.num.items()}, self.den)
 
     def __repr__(self):
+        """Each exponent as ``(re±imi)*t^e``, exponents ascending."""
         if self.is_zero:
             return "0"
-        return " + ".join(f"{c}*t^{e}" for e, c in sorted(self.coeffs.items()))
+        coeffs = self.coeffs
+        parts = []
+        for e in sorted({e for e, _ in coeffs}):
+            re, im = coeffs.get((e, 0), 0), coeffs.get((e, 1), 0)
+            parts.append(f"({re}{'+' if im >= 0 else '-'}{abs(im)}i)*t^{e}")
+        return " + ".join(parts)
 
 
 LP0 = LaurentPoly()
 
 
-def tpow(e: int, c: GaussianRational = GR1) -> LaurentPoly:
-    return LaurentPoly({e: c})
+def tpow(e: int, c: int = 1, r: int = 0) -> LaurentPoly:
+    """c * i^r * t^e."""
+    return LaurentPoly({(e, r): c})
 
 
 def t_plus(k: int) -> LaurentPoly:
@@ -126,18 +98,16 @@ class LoopMatrix:
 
 M0 = LoopMatrix()
 
-# sl2 raising generator with constant entries
-X_PLUS = LoopMatrix(a12=tpow(0))
+# the constants 1 and i
+ONE, IMAG = tpow(0), tpow(0, r=1)
 
-HALF = GaussianRational(Fraction(1, 2))
+# sl2 raising generator with constant entries
+X_PLUS = LoopMatrix(a12=ONE)
+
 # Fixed-point sl2 frame: h = -i(x+ - x-), x(+/-) = (x+ + x- -/+ ih)/2
-H_GAMMA = LoopMatrix(a12=tpow(0, -GR_I), a21=tpow(0, GR_I))
-X_GAMMA_PLUS = LoopMatrix(
-    a11=tpow(0, -HALF * GR_I), a12=tpow(0, HALF), a21=tpow(0, HALF), a22=tpow(0, HALF * GR_I)
-)
-X_GAMMA_MINUS = LoopMatrix(
-    a11=tpow(0, HALF * GR_I), a12=tpow(0, HALF), a21=tpow(0, HALF), a22=tpow(0, -HALF * GR_I)
-)
+H_GAMMA = LoopMatrix(a12=-IMAG, a21=IMAG)
+X_GAMMA_PLUS = LoopMatrix(-IMAG.divide(2), ONE.divide(2), ONE.divide(2), IMAG.divide(2))
+X_GAMMA_MINUS = LoopMatrix(IMAG.divide(2), ONE.divide(2), ONE.divide(2), -IMAG.divide(2))
 
 
 def embed_basis(b: BasisElement) -> LoopMatrix:
@@ -152,9 +122,9 @@ def embed(a: LieElement | BasisElement) -> LoopMatrix:
     if isinstance(a, BasisElement):
         return embed_basis(a)
     out = M0
-    for b, c in a.coeffs.items():
-        out = out + embed_basis(b).scale_poly(tpow(0, gr(c)))
-    return out
+    for b, n in a.num.items():
+        out = out + embed_basis(b).scale_poly(tpow(0, n))
+    return out.scale_poly(ONE.divide(a.den))
 
 
 def matrix_bracket(a: LoopMatrix, b: LoopMatrix) -> LoopMatrix:
@@ -182,7 +152,7 @@ def onsager_A(m: int) -> LoopMatrix:
 
 def onsager_G(l: int) -> LoopMatrix:
     """(1/2) h (x) (t^l - t^-l)."""
-    half = t_minus(l).scale(HALF)
+    half = t_minus(l).divide(2)
     return LoopMatrix(a11=half, a22=-half)
 
 

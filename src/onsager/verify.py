@@ -291,13 +291,12 @@ def _chk_REALIZE(max_index) -> Check:
         return False, (from_lie(generator(a.kind, a.index)),
                        from_lie(generator(b.kind, b.index)))
     # the outer involution fixes every embedded generator
-    for k in range(0, n + 1):
-        if loop.sigma(loop.embed(h(k))) != loop.embed(h(k)):
+    gens = [h(k) for k in range(n + 1)]
+    gens += [x for j in range(1, n + 1) for x in (xplus(j), xminus(j))]
+    for x in gens:
+        img = loop.embed(x)
+        if loop.sigma(img) != img:
             return False, None
-    for j in range(1, n + 1):
-        for x in (xplus(j), xminus(j)):
-            if loop.sigma(loop.embed(x)) != loop.embed(x):
-                return False, None
     # Onsager relations for A_m, G_l, all omega-fixed
     for l in range(-n, n + 1):
         for m in range(-n, n + 1):

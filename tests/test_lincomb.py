@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onsager.lie import BasisElement, Kind, LieElement
-from onsager.loop import GR0, GR1, GaussianRational, LaurentPoly, gr
+from onsager.loop import LaurentPoly
 from onsager.straighten import LFactor, MForm, XFactor
 from onsager.uea import UEAElement
 
@@ -20,7 +20,7 @@ CASES = {
     "lie": (LieElement, XP1, H2, Fraction(0), Fraction(1)),
     "uea": (UEAElement, (XP1, H2), (), Fraction(0), Fraction(1)),
     "mform": (MForm, (XFactor(1, 1, 2),), (LFactor(2, 1, 1),), Fraction(0), Fraction(1)),
-    "laurent": (LaurentPoly, 3, -1, GR0, GR1),
+    "laurent": (LaurentPoly, (3, 0), (-1, 1), Fraction(0), Fraction(1)),
 }
 
 
@@ -57,7 +57,7 @@ def test_equal_coefficient_dicts_in_different_types_differ():
     assert LieElement({XP1: Fraction(1)}) != UEAElement({XP1: Fraction(1)})
 
 
-@pytest.mark.parametrize("name", ["lie", "uea", "mform"])
+@pytest.mark.parametrize("name", ["lie", "uea", "mform", "laurent"])
 def test_divide_is_exact_and_hands_integral_quotients_back_as_int(name):
     cls, k1, k2 = CASES[name][:3]
     q = cls({k1: 6, k2: -4}).divide(2)
@@ -73,19 +73,6 @@ def test_divide_is_exact_and_hands_integral_quotients_back_as_int(name):
     for x in (cls({k1: 1}), cls()):
         with pytest.raises(ZeroDivisionError):
             x.divide(0)
-
-
-def test_laurent_poly_scales_termwise_by_a_gaussian_rational():
-    p = LaurentPoly({-2: gr(1, 2), 0: GR1, 3: gr(0, -1)})
-    c = gr(Fraction(1, 2), 3)
-    assert p.scale(c) == LaurentPoly({-2: c * gr(1, 2), 0: c, 3: c * gr(0, -1)})
-
-
-def test_gaussian_zero_is_falsy_and_cancels_in_laurent_poly():
-    assert not GaussianRational()
-    assert gr(0, 1) and gr(1, 0)
-    p = LaurentPoly({1: gr(2, -3), 2: GR1}) + LaurentPoly({1: gr(-2, 3)})
-    assert p.coeffs == {2: GR1}
 
 
 # words over two letters, so that sums and convolutions collide and cancel
@@ -176,6 +163,32 @@ def test_numerators_over_one_denominator_match_a_fraction_reference(start, ops):
         assert same == u and hash(same) == hash(u)
 
 
+# Laurent polynomials as exponent -> (re, im) pairs of true values
+GAUSSIAN = st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=4)] * 2)
+LAURENT = st.dictionaries(st.integers(-2, 2), GAUSSIAN, max_size=4)
+
+
+def _laurent(pairs: dict) -> LaurentPoly:
+    return LaurentPoly({(e, r): part for e, z in pairs.items() for r, part in enumerate(z)})
+
+
+@given(LAURENT, LAURENT)
+@settings(deadline=None)
+def test_laurent_product_is_the_gaussian_convolution(pa, pb):
+    ref: dict = {}
+    for ea, (ra, ia) in pa.items():
+        for eb, (rb, ib) in pb.items():
+            re, im = ref.get(ea + eb, (0, 0))
+            ref[ea + eb] = (re + ra * rb - ia * ib, im + ra * ib + ia * rb)
+    got = _laurent(pa) * _laurent(pb)
+    assert type(got) is LaurentPoly and _canonical(got)
+    assert got == _laurent(ref)
+    # i*i = -1, and a product that cancels to zero stores nothing
+    i = LaurentPoly({(0, 1): 1})
+    assert i * i == LaurentPoly({(0, 0): -1})
+    assert (_laurent(pa) * (i * i + LaurentPoly({(0, 0): 1}))).num == {}
+
+
 def test_true_value_view_of_a_large_element_is_built_once():
     from onsager.expr import evaluate, parse
     from onsager.uea import pbw_normal_form
@@ -227,7 +240,7 @@ def _element(cls, k1, k2):
     return st.builds(lambda a, b: cls({k1: a, k2: b}), value, value)
 
 
-@pytest.mark.parametrize("name", ["lie", "uea", "mform"])
+@pytest.mark.parametrize("name", ["lie", "uea", "mform", "laurent"])
 @given(data=st.data())
 @settings(deadline=None)
 def test_combine_is_the_chained_sum_in_lowest_terms(name, data):

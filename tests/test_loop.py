@@ -1,11 +1,9 @@
-from fractions import Fraction
-
-import pytest
+import math
 
 from onsager import loop
-from onsager.lie import bracket, h, xminus, xplus
+from onsager.lie import BasisElement, Kind, bracket, h, xminus, xplus
 from onsager.loop import (
-    GaussianRational,
+    LaurentPoly,
     embed,
     matrix_bracket,
     omega,
@@ -26,8 +24,20 @@ def test_structure_constants_small():
 def test_embed_h0():
     m = embed(h(0))
     assert m.a11.is_zero and m.a22.is_zero
-    assert m.a12 == tpow(0, GaussianRational(Fraction(0), Fraction(-2)))
-    assert m.a21 == tpow(0, GaussianRational(Fraction(0), Fraction(2)))
+    assert m.a12 == LaurentPoly({(0, 1): -2})
+    assert m.a21 == LaurentPoly({(0, 1): 2})
+
+
+def test_realization_entries_have_int_numerators_in_lowest_terms():
+    basis = [BasisElement(k, i) for k in Kind for i in range(k != Kind.H, 7)]
+    images = [embed(b) for b in basis]
+    images += [f(l) for l in range(-3, 4) for f in (onsager_A, onsager_G)]
+    for m in images:
+        for p in (m.a11, m.a12, m.a21, m.a22):
+            assert type(p.den) is int and p.den > 0
+            assert all(type(n) is int and n for n in p.num.values())
+            assert all(r in (0, 1) for _, r in p.num)
+            assert math.gcd(p.den, *p.num.values()) == 1
 
 
 def test_embed_is_bracket_homomorphism():
