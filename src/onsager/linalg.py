@@ -7,11 +7,11 @@ numerators in input order against pivot rows keyed by their largest
 key, which is sparse row echelon under that order (the linear algebra
 of Faugère's F4).  It never divides: a reduction step is the
 fraction-free ``rest := a*rest - b*row`` of Bareiss (Math. Comp. 22,
-1968), with ``a`` and ``b`` the two leads over their gcd.  Each pivot
-row carries the integer combination of input numerators it equals; the
-two together are divided by their content, so they are primitive, and
-the lead is positive.  An input that reduces to zero yields its
-dependency at once.
+1968), with ``a`` and ``b`` the two leads over their gcd.  In ``rref``
+each pivot row carries the integer combination of input numerators it
+equals, and an input that reduces to zero yields its dependency at
+once; ``pivot_keys``, for ranks alone, keeps the rows only.  A pivot is
+divided by its content, so it is primitive, and its lead is positive.
 
 Rationals appear only at output.  A dependency sum_j c_j * num_j = 0 is
 the kernel vector with entries c_j * den_j, divided by its own input's
@@ -26,11 +26,13 @@ variables 0) and the kernel vectors are therefore the dense ones.
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 Vector = dict  # key -> integer numerator, zeros dropped
-Pivots = dict  # lead key -> (primitive row, {input position: integer})
+Pivots = dict  # lead key -> (primitive row,), in rref (row, {input position: integer})
 
 
 def _add_multiple(acc: Vector, f: int, vec: Vector) -> None:
@@ -43,27 +45,53 @@ def _add_multiple(acc: Vector, f: int, vec: Vector) -> None:
             del acc[k]
 
 
-def _reduce(pivots: Pivots, rest: Vector, combo: Vector) -> None:
-    """Cancel the lead of rest against pivots, in place, until none matches.
+def _reduce(pivots: Pivots, vecs: tuple[Vector, ...]) -> None:
+    """Cancel the lead of vecs[0] against pivots, in place, until none matches.
 
-    Each step is rest := a*rest - b*row, and the same on combo, so
-    rest = sum of combo[i] * nums[i] holds throughout.
+    Each step is vec := a*vec - b*row on every vector and its pivot row,
+    so for (rest, combo) rest = sum of combo[i] * nums[i] holds throughout.
     """
+    rest = vecs[0]
     while rest:
         lead = max(rest)
         pivot = pivots.get(lead)
         if pivot is None:
             return
-        row, used = pivot
-        r, p = rest[lead], row[lead]
+        r, p = rest[lead], pivot[0][lead]
         g = gcd(r, p)
         a, b = p // g, r // g
-        if a != 1:
-            for vec in (rest, combo):
+        for vec, row in zip(vecs, pivot):
+            if a != 1:
                 for k in vec:
                     vec[k] *= a
-        _add_multiple(rest, -b, row)
-        _add_multiple(combo, -b, used)
+            _add_multiple(vec, -b, row)
+
+
+def _add_row(pivots: Pivots, vecs: tuple[Vector, ...]) -> bool:
+    """Reduce vecs; unless vecs[0] reaches zero, store them as the pivot
+    under its lead, divided by their joint content, lead positive.
+    Returns whether a pivot was added."""
+    _reduce(pivots, vecs)
+    rest = vecs[0]
+    if not rest:
+        return False
+    lead = max(rest)
+    g = gcd(*chain.from_iterable(map(dict.values, vecs)))
+    if rest[lead] < 0:
+        g = -g
+    if g != 1:
+        vecs = tuple({k: c // g for k, c in vec.items()} for vec in vecs)
+    pivots[lead] = vecs
+    return True
+
+
+def pivot_keys(nums: list[Vector]) -> KeysView:
+    """The pivots' lead keys, as many as the rank: ``rref``'s rows alone,
+    with no input combinations, kernel or denominators."""
+    pivots: Pivots = {}
+    for vec in nums:
+        _add_row(pivots, (dict(vec),))
+    return pivots.keys()
 
 
 def _quotients(combo: Vector, dens: list[int], own: int, own_den: int) -> Vector:
@@ -87,19 +115,9 @@ def rref(nums: list[Vector], dens: list[int]) -> tuple[Pivots, list[Vector]]:
     pivots: Pivots = {}
     kernel: list[Vector] = []
     for i, vec in enumerate(nums):
-        rest, combo = dict(vec), {i: 1}
-        _reduce(pivots, rest, combo)
-        if not rest:
+        combo = {i: 1}
+        if not _add_row(pivots, (dict(vec), combo)):
             kernel.append({i: 1, **_quotients(combo, dens, i, dens[i])})
-            continue
-        lead = max(rest)
-        g = gcd(*rest.values(), *combo.values())
-        if rest[lead] < 0:
-            g = -g
-        if g != 1:
-            rest = {k: c // g for k, c in rest.items()}
-            combo = {k: c // g for k, c in combo.items()}
-        pivots[lead] = (rest, combo)
     return pivots, kernel
 
 
@@ -115,7 +133,7 @@ def solve_columns(nums: list[Vector], dens: list[int], target_num: Vector,
     pivots, kernel = rref(nums, dens)
     target = len(nums)
     rest, combo = dict(target_num), {target: 1}
-    _reduce(pivots, rest, combo)
+    _reduce(pivots, (rest, combo))
     if rest:
         return None, kernel
     # m * target_num + sum of combo[j] * nums[j] = 0, with m = combo[target]

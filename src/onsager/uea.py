@@ -1,14 +1,15 @@
 """Enveloping-algebra layer: words over the basis and PBW normal forms.
 
 Elements are rational combinations of words (finite sequences of
-canonical basis elements); :func:`multiply`, and every power built on
-it, returns a normal form.  A normal word is three blocks, x-, then h,
-then x+, each sorted; letters of one kind commute.  So a word's normal
-form is a fold from the right: each letter passes the lower-kind prefix
-of the normal words built so far by ``ab -> ba + [a,b]`` and the rest
-joins at a seam inside the letter's own kind.  Two normal words join at
-the seam without rewriting when they are in order there or meet inside
-one kind.
+canonical basis elements).  :func:`multiply`, and every power built on
+it, takes normal forms and returns one; a free value, such as a
+``convolve`` product, enters through :func:`pbw_normal_form`.  A normal
+word is three blocks, x-, then h, then x+, each sorted; letters of one
+kind commute.  So a word's normal form is a fold from the right: each
+letter passes the lower-kind prefix of the normal words built so far by
+``ab -> ba + [a,b]`` and the rest joins at a seam inside the letter's
+own kind.  Two normal words join at the seam without rewriting when they
+are in order there or meet inside one kind.
 :func:`rewrite` is the package's one pair-rewriting engine: the
 straightening calculus runs it with its own factor order and rules, and
 the PBW theorem's independence of the route is checked by running it on
@@ -234,31 +235,18 @@ def _word_nf(word: Word) -> dict:
     return nf
 
 
-def _is_normal(word: Word) -> bool:
-    return all(map(operator.le, word, word[1:]))
-
-
-def _normal_num(a: UEAElement) -> dict:
-    """a's numerators on normal words (``a.num`` itself if already so)."""
-    if all(map(_is_normal, a.num)):
-        return a.num
-    out: dict = {}
-    for w, n in a.num.items():
-        add_scaled(out, n, _word_nf(w).items())
-    return out
-
-
 def multiply(a: UEAElement, b: UEAElement) -> UEAElement:
-    """The product in PBW normal form; ``a.convolve(b)`` is the free one.
+    """The normal form of a·b for normal forms a and b, as every producer
+    in the package returns (a free value goes through
+    :func:`pbw_normal_form` first); ``a.convolve(b)`` is the free product.
 
-    Operands are brought to normal form first.  Two normal words u, v
-    join at the seam: u + v when ``u[-1] <= v[0]``; the one word with the
-    shared block sorted when u[-1] and v[0] have one kind; else the word
-    normal form of u + v.
+    Two normal words u, v join at the seam: u + v when ``u[-1] <= v[0]``;
+    the one word with the shared block sorted when u[-1] and v[0] have
+    one kind; else the word normal form of u + v.
     """
     out: dict = {}
-    nb = _normal_num(b).items()
-    for u, m in _normal_num(a).items():
+    nb = b.num.items()
+    for u, m in a.num.items():
         kind = u[-1].kind if u else Kind.XMINUS  # the empty word joins any word
         for v, n in nb:
             if not v or kind <= v[0].kind:
@@ -281,17 +269,15 @@ def pbw_normal_form(a: UEAElement, strategy: str = "leftmost") -> UEAElement:
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "leftmost":
-        return UEAElement.over(_normal_num(a), a.den)
     memo: dict = {}  # the oracle route shares no entries, not even the swap rule's
     out: dict = {}
     for w, n in a.num.items():
-        add_scaled(out, n, rewrite(w, operator.gt, _swap, memo, rightmost=True).items())
+        if strategy == "leftmost":
+            nf = _word_nf(w)
+        else:
+            nf = rewrite(w, operator.gt, _swap, memo, rightmost=True)
+        add_scaled(out, n, nf.items())
     return UEAElement.over(out, a.den)
-
-
-def equal(a: UEAElement, b: UEAElement) -> bool:
-    return pbw_normal_form(a - b).is_zero
 
 
 def power(a: UEAElement, k: int) -> UEAElement:

@@ -88,17 +88,13 @@ class SuiteReport:
 Check = tuple[bool, tuple[UEAElement, UEAElement] | None]
 
 
-def _eq_u(lhs: UEAElement, rhs: UEAElement) -> Check:
-    # both sides are PBW normal forms in lowest terms, which are canonical
+def _eq(lhs: UEAElement | LieElement, rhs: UEAElement | LieElement) -> Check:
+    # both sides are canonical: in lowest terms, and in U in PBW normal form
     if lhs == rhs:
         return True, None
+    if isinstance(lhs, LieElement):
+        return False, (from_lie(lhs), from_lie(rhs))
     return False, (lhs, rhs)
-
-
-def _eq_lie(lhs: LieElement, rhs: LieElement) -> Check:
-    if (lhs - rhs).is_zero:
-        return True, None
-    return False, (from_lie(lhs), from_lie(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -108,36 +104,36 @@ def _eq_lie(lhs: LieElement, rhs: LieElement) -> Check:
 
 def _chk_I5(j, l, r, k, m, n) -> Check:
     a, b = lambda_rec(j, l, r), lambda_rec(k, m, n)
-    return _eq_u(multiply(a, b), multiply(b, a))
+    return _eq(multiply(a, b), multiply(b, a))
 
 
 def _chk_I6(sign, j, r, s) -> Check:
     x = xplus(j) if sign > 0 else xminus(j)
     lhs = multiply(divided_power(x, r), divided_power(x, s))
     rhs = divided_power(x, r + s).scale(binom(r + s, s))
-    return _eq_u(lhs, rhs)
+    return _eq(lhs, rhs)
 
 
 def _chk_I7(j, r, l, s) -> Check:
     lhs = multiply(divided_power(xplus(j), r), divided_power(xminus(l), s))
     rhs = expand(straighten_plus_minus(j, r, l, s))
-    return _eq_u(lhs, rhs)
+    return _eq(lhs, rhs)
 
 
 def _chk_I8(j, r, k, m, n) -> Check:
     lhs = multiply(divided_power(xplus(j), r), lambda_rec(k, m, n))
     rhs = expand(move_x_past_lambda(1, j, r, (k, m), n))
-    return _eq_u(lhs, rhs)
+    return _eq(lhs, rhs)
 
 
 def _chk_I9(l, s, k, m, n) -> Check:
     lhs = multiply(lambda_rec(k, m, n), divided_power(xminus(l), s))
     rhs = expand(move_x_past_lambda(-1, l, s, (k, m), n))
-    return _eq_u(lhs, rhs)
+    return _eq(lhs, rhs)
 
 
 def _chk_XKL1(k, j, l) -> Check:
-    return _eq_lie(bracket(xplus(k), lambda1(j, l)), bracket_x_lambda1(k, j, l))
+    return _eq(bracket(xplus(k), lambda1(j, l)), bracket_x_lambda1(k, j, l))
 
 
 def _chk_XJLN(j, k, m, n) -> Check:
@@ -147,54 +143,54 @@ def _chk_XJLN(j, k, m, n) -> Check:
          multiply(lambda_rec(k, m, n - i),
                   from_lie(xplus(j + (i - 2 * r) * k + (i - 2 * s) * m))))
         for i in range(n + 1) for r in range(i + 1) for s in range(i + 1))
-    return _eq_u(lhs, rhs)
+    return _eq(lhs, rhs)
 
 
 def _chk_DU1(sign, u, j, l) -> Check:
-    return _eq_lie(d1_rec(sign, u, j, l), d1_closed(sign, u, j, l))
+    return _eq(d1_rec(sign, u, j, l), d1_closed(sign, u, j, l))
 
 
 def _chk_DUV(sign, u, v, j, l) -> Check:
     a = duv_rec(sign, u, v, j, l)
-    ok1, ce1 = _eq_u(a, duv_multinomial(sign, u, v, j, l))
+    ok1, ce1 = _eq(a, duv_multinomial(sign, u, v, j, l))
     if not ok1:
         return ok1, ce1
-    return _eq_u(a, duv_series(sign, u, v, j, l))
+    return _eq(a, duv_series(sign, u, v, j, l))
 
 
 def _chk_LREC(j, l, k) -> Check:
-    return _eq_u(lambda_rec(j, l, k), lambda_series(j, l, k))
+    return _eq(lambda_rec(j, l, k), lambda_series(j, l, k))
 
 
 def _chk_PU(u, j, l) -> Check:
-    return _eq_lie(p_def(u, j, l), p_closed(u, j, l))
+    return _eq(p_def(u, j, l), p_closed(u, j, l))
 
 
 def _chk_P2N1(n, j, l) -> Check:
-    return _eq_lie(p_via_lambda_odd(n, j, l), p_def(2 * n + 1, j, l))
+    return _eq(p_via_lambda_odd(n, j, l), p_def(2 * n + 1, j, l))
 
 
 def _chk_P2N(n, j, l) -> Check:
-    return _eq_lie(p_via_lambda_even(n, j, l), p_def(2 * n, j, l))
+    return _eq(p_via_lambda_even(n, j, l), p_def(2 * n, j, l))
 
 
 def _chk_PNEWD(u, k, j, l) -> Check:
     lhs = bracket(d1_closed(1, u, j, l), d1_closed(-1, k, j, l))
-    return _eq_lie(lhs, p_def(k + u + 1, j, l))
+    return _eq(lhs, p_def(k + u + 1, j, l))
 
 
 def _chk_BXP(i, j, k, m) -> Check:
-    ok1, ce1 = _eq_lie(bracket(xplus(j), p_def(i, k, m)),
-                       d_triple(1, i, j, k, m).scale(-2))
+    ok1, ce1 = _eq(bracket(xplus(j), p_def(i, k, m)),
+                   d_triple(1, i, j, k, m).scale(-2))
     if not ok1:
         return ok1, ce1
-    return _eq_lie(bracket(p_def(i, k, m), xminus(j)),
-                   d_triple(-1, i, j, k, m).scale(-2))
+    return _eq(bracket(p_def(i, k, m), xminus(j)),
+               d_triple(-1, i, j, k, m).scale(-2))
 
 
 def _chk_BPD(m, u, j, l) -> Check:
     lhs = bracket(p_def(m, j, l), d1_closed(1, u, j, l))
-    return _eq_lie(lhs, d1_closed(1, m + u, j, l).scale(2))
+    return _eq(lhs, d1_closed(1, m + u, j, l).scale(2))
 
 
 def _chk_DU1L(u, n, j, l) -> Check:
@@ -202,7 +198,7 @@ def _chk_DU1L(u, n, j, l) -> Check:
     rhs = UEAElement.combine(
         (i + 1, multiply(lambda_rec(j, l, n - i), from_lie(d1_closed(1, i + u, j, l))))
         for i in range(n + 1))
-    return _eq_u(lhs, rhs)
+    return _eq(lhs, rhs)
 
 
 def _chk_LDP(i, k, j, l) -> Check:
@@ -211,7 +207,7 @@ def _chk_LDP(i, k, j, l) -> Check:
            + multiply(from_lie(d1_closed(1, k + 1, j, l)),
                       lambda_rec(j, l, i - 1)).scale(-2)
            + multiply(from_lie(d1_closed(1, k + 2, j, l)), lambda_rec(j, l, i - 2)))
-    return _eq_u(lhs, rhs)
+    return _eq(lhs, rhs)
 
 
 def _chk_UD(sign, u, v, j, l) -> Check:
@@ -220,10 +216,10 @@ def _chk_UD(sign, u, v, j, l) -> Check:
     rhs1 = UEAElement.combine((i, t) for i, t in enumerate(ts))
     rhs2 = UEAElement.combine((i + 1, t) for i, t in enumerate(ts))
     base = duv_rec(sign, u, v, j, l)
-    ok1, ce1 = _eq_u(base.scale(u), rhs1)
+    ok1, ce1 = _eq(base.scale(u), rhs1)
     if not ok1:
         return ok1, ce1
-    return _eq_u(base.scale(u + v), rhs2)
+    return _eq(base.scale(u + v), rhs2)
 
 
 def _chk_LDXM(n, v, j, l) -> Check:
@@ -237,7 +233,7 @@ def _chk_LDXM(n, v, j, l) -> Check:
                                         lambda_rec(j, l, n - m - k)),
                                duv_rec(1, k, v, j, l)))
               for m in range(n + 1) for k in range(n - m + 1)]
-    return _eq_u(lhs, UEAElement.combine(terms))
+    return _eq(lhs, UEAElement.combine(terms))
 
 
 def _chk_LL(j, l, k, m) -> Check:
@@ -252,7 +248,7 @@ def _chk_LL(j, l, k, m) -> Check:
         return False, (expand(out), product)
     if out.den != 1 or any(w != lead and mdegree(w) >= k + m for w in out.num):
         return False, (expand(out), product)
-    return _eq_u(expand(out), product)
+    return _eq(expand(out), product)
 
 
 def _chk_BRKDEG(part, j, l, r, s) -> Check:
@@ -274,7 +270,7 @@ def _chk_CORINT(sign, u, v, j, l) -> Check:
     nf = normalize_to_basis(duv_mform(sign, u, v, j, l))
     if nf.den != 1:
         return False, (expand(nf), target)
-    return _eq_u(expand(nf), target)
+    return _eq(expand(nf), target)
 
 
 def _chk_THMAUDIT(max_mdegree, max_index) -> Check:
@@ -467,17 +463,15 @@ def audit_span(parity: str, cutoff: int) -> SpanReport:
         raise ValueError("cutoff must be >= 1")
     want = 0 if parity == "even" else 1
     indices = [k for k in range(cutoff, -1, -1) if k % 2 == want]
-    nums, dens = [], []
+    nums = []
     for j in range(1, cutoff + 1):
         for l in range(1, j + 1):
             i = 1
             while i * (j + l) <= cutoff:
                 if (i * (j + l)) % 2 == want:
-                    p = p_closed(i, j, l)
-                    nums.append({b.index: n for b, n in p.num.items()})
-                    dens.append(p.den)
+                    nums.append({b.index: n for b, n in p_closed(i, j, l).num.items()})
                 i += 1
-    pivots, _ = linalg.rref(nums, dens)
+    pivots = linalg.pivot_keys(nums)
     quotient = [k for k in indices if k not in pivots]
     return SpanReport(parity, cutoff, len(indices), len(pivots), quotient)
 
@@ -511,7 +505,7 @@ def audit_theorem(max_mdegree: int, max_index: int) -> TheoremReport:
     """
     basis = enumerate_basis(max_mdegree, max_index)
     expansions = [expand_word(w) for w in basis]
-    rk = len(linalg.rref([e.num for e in expansions], [e.den for e in expansions])[0])
+    rk = len(linalg.pivot_keys([e.num for e in expansions]))
 
     def leading(e: UEAElement):
         return max(e.num, key=lambda w: (len(w), w))

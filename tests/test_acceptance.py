@@ -34,7 +34,7 @@ from onsager.straighten import (
     mform_coordinates,
     monomial,
 )
-from onsager.uea import equal, multiply, pbw_normal_form
+from onsager.uea import multiply
 from onsager.verify import SuiteConfig, audit_span, audit_theorem, run_suite
 
 
@@ -103,14 +103,14 @@ def test_dual_construction_paths_agree():
     for j in range(1, 4):
         for l in range(1, 4):
             for k in range(0, 7):
-                assert equal(lambda_rec(j, l, k), lambda_series(j, l, k))
+                assert lambda_rec(j, l, k) == lambda_series(j, l, k)
             for u in range(0, 7):
                 for v in range(0, 7 - u):
                     for sign in (+1, -1):
                         a = duv_rec(sign, u, v, j, l)
                         b = duv_multinomial(sign, u, v, j, l)
                         c = duv_series(sign, u, v, j, l)
-                        assert equal(a, b) and equal(a, c)
+                        assert a == b and a == c
     assert time.monotonic() - start < 120.0
 
 
@@ -155,7 +155,7 @@ def test_lambda_merge_leading_term_and_integer_residual():
                     assert c.denominator == 1, (j, l, k, m, word, c)
                 product = multiply(lambda_rec(j, l, k), lambda_rec(j, l, m))
                 from onsager.straighten import expand
-                assert equal(expand(merged), pbw_normal_form(product))
+                assert expand(merged) == product
 
 
 def test_integral_coordinates_at_truncation():

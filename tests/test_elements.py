@@ -3,7 +3,9 @@ from fractions import Fraction
 
 from onsager import caches, elements, lie
 from onsager.lie import bracket, h, xminus, xplus
-from onsager.uea import binomial, divided_power, equal, from_lie, pbw_normal_form
+from onsager.expr import evaluate, parse
+from onsager.straighten import XFactor, expand_word, lfactor
+from onsager.uea import binomial, divided_power, from_lie, pbw_normal_form
 from onsager.elements import (
     binom,
     bracket_x_lambda1,
@@ -79,7 +81,7 @@ def test_lambda_dual_paths():
     for k in range(0, 7):
         for j in range(1, 4):
             for l in range(1, 4):
-                assert equal(lambda_rec(j, l, k), lambda_series(j, l, k))
+                assert lambda_rec(j, l, k) == lambda_series(j, l, k)
 
 
 def test_integer_lambda_is_k_factorial_lambda():
@@ -113,8 +115,8 @@ def test_integer_lambda_is_flushed_with_the_bracket_table():
 def test_lambda_degenerate_orders():
     from onsager.uea import UEA_ONE, UEA_ZERO
 
-    assert equal(lambda_rec(1, 1, 0), UEA_ONE)
-    assert equal(lambda_rec(2, 1, -3), UEA_ZERO)
+    assert lambda_rec(1, 1, 0) == UEA_ONE
+    assert lambda_rec(2, 1, -3) == UEA_ZERO
 
 
 def test_duv_three_methods_agree():
@@ -124,8 +126,8 @@ def test_duv_three_methods_agree():
                 for j in range(1, 4):
                     for l in range(1, 4):
                         a = duv_rec(sign, u, v, j, l)
-                        assert equal(a, duv_multinomial(sign, u, v, j, l))
-                        assert equal(a, duv_series(sign, u, v, j, l))
+                        assert a == duv_multinomial(sign, u, v, j, l)
+                        assert a == duv_series(sign, u, v, j, l)
 
 
 def test_exponent_tuples():
@@ -153,7 +155,8 @@ def test_p_via_lambda():
 
 
 def test_element_families_are_normal_forms():
-    # verify compares catalog sides by ==, which needs canonical values
+    # verify compares catalog sides by ==, which needs canonical values, and
+    # uea.multiply takes normal forms: so every producer must return one
     mixed = from_lie(xplus(1) + xminus(2) + h(1))
     values = [divided_power(mixed, 3), binomial(mixed, 2), binomial(h(2), 3)]
     for j, l in ((1, 1), (2, 1)):
@@ -162,5 +165,13 @@ def test_element_families_are_normal_forms():
     for sign in (1, -1):
         for u, v in ((0, 2), (1, 2), (2, 1), (2, 2)):
             values += [f(sign, u, v, 2, 1) for f in (duv_rec, duv_multinomial, duv_series)]
+    calls = ["xp(2)", "xm(1)", "h(3)", "h(-2)", "lam(2,1,3)", "p(3,2,1)", "d1(+,2,2,1)",
+             "d1(-,1,1,2)", "duv(+,1,2,2,1)", "duv(-,2,1,1,1)", "dt(+,1,2,1,1)",
+             "dp(xp(1)+xm(2)+h(1),3)", "binom(h(2)-xp(1),2)", "[xp(2), xm(1)]"]
+    values += [evaluate(parse(text)) for text in calls]
+    values.append(evaluate(parse(" + ".join(f"{n}/3*{text}" for n, text in enumerate(calls, 1)))))
+    xp, xm, lam, lam1 = XFactor(1, 2, 2), XFactor(-1, 1, 2), lfactor(2, 1, 2), lfactor(1, 1, 1)
+    words = [(xp, lam), (lam, xp), (xm, lam, xp), (xp, lam, xm), (lam, xm, lam1, xp)]
+    values += [expand_word(w) for w in words]
     for x in values:
         assert pbw_normal_form(x, "rightmost") == x

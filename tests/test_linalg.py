@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onsager.expr import evaluate, parse
-from onsager.linalg import rref, solve_columns
+from onsager.linalg import pivot_keys, rref, solve_columns
 from onsager.straighten import enumerate_basis, expand_word
 from onsager.uea import UEAElement, pbw_normal_form
 
@@ -110,6 +110,7 @@ def assert_matches_reference(nums: list, dens: list, target=None):
 def test_rref_matches_the_fraction_reference(data, target_num, target_den):
     nums, dens = data
     assert_matches_reference(nums, dens, (target_num, target_den))
+    assert set(pivot_keys(nums)) == set(ref_rref(true_values(nums, dens))[0])
 
 
 @pytest.mark.parametrize("bounds", [(3, 3), (4, 2)])
@@ -217,7 +218,7 @@ def test_rank_certificate_at_4_4():
     nums = [e.num for e in expansions]
     pivots, kernel = rref(nums, [e.den for e in expansions])
     # lower bound: rank over GF(p) <= rank over Q
-    assert rank_mod_p(nums) == len(pivots)
+    assert rank_mod_p(nums) == len(pivots) == len(pivot_keys(nums))
     # upper bound: independent kernel vectors (distinct owners, each the
     # largest input it uses) that really vanish
     assert len({max(vec) for vec in kernel}) == len(kernel)

@@ -12,7 +12,6 @@ from onsager.uea import (
     UEA_ZERO,
     binomial,
     divided_power,
-    equal,
     from_lie,
     multiply,
     pbw_normal_form,
@@ -42,7 +41,7 @@ def test_normal_form_example():
     nf = pbw_normal_form(from_lie(xplus(1)).convolve(from_lie(xminus(1))))
     expected = (from_lie(xminus(1)).convolve(from_lie(xplus(1)))
                 + from_lie(h(2)) - from_lie(h(0)))
-    assert equal(nf, pbw_normal_form(expected))
+    assert nf == pbw_normal_form(expected)
 
 
 def test_normal_form_is_ordered_and_idempotent():
@@ -52,7 +51,7 @@ def test_normal_form_is_ordered_and_idempotent():
         nf = pbw_normal_form(a)
         for word in nf.coeffs:
             assert all(word[i] <= word[i + 1] for i in range(len(word) - 1))
-        assert equal(pbw_normal_form(nf), nf)
+        assert pbw_normal_form(nf) == nf
 
 
 def test_confluence_leftmost_vs_rightmost():
@@ -61,7 +60,7 @@ def test_confluence_leftmost_vs_rightmost():
         a = _random_element(rng)
         left = pbw_normal_form(a, strategy="leftmost")
         right = pbw_normal_form(a, strategy="rightmost")
-        assert equal(left, right)
+        assert left == right
 
 
 def test_strategies_take_different_routes():
@@ -76,18 +75,15 @@ def test_strategies_take_different_routes():
 def test_multiplication_associative():
     rng = random.Random(3)
     for _ in range(20):
-        a, b, c = (_random_element(rng, 2, 2, 3) for _ in range(3))
-        lhs = pbw_normal_form(multiply(multiply(a, b), c))
-        rhs = pbw_normal_form(multiply(a, multiply(b, c)))
-        assert equal(lhs, rhs)
+        a, b, c = (pbw_normal_form(_random_element(rng, 2, 2, 3)) for _ in range(3))
+        assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
 
 def test_divided_power_basics():
     x = xplus(2)
-    assert equal(divided_power(x, 0), UEA_ONE)
-    assert equal(divided_power(x, 1), from_lie(x))
-    six = power(from_lie(x), 3)
-    assert equal(six, divided_power(x, 3).scale(Fraction(6)))
+    assert divided_power(x, 0) == UEA_ONE
+    assert divided_power(x, 1) == from_lie(x)
+    assert power(from_lie(x), 3) == divided_power(x, 3).scale(Fraction(6))
 
 
 def test_divided_power_product_rule():
@@ -95,7 +91,7 @@ def test_divided_power_product_rule():
         for s in range(4):
             lhs = multiply(divided_power(xminus(1), r), divided_power(xminus(1), s))
             rhs = divided_power(xminus(1), r + s).scale(Fraction(binom(r + s, s)))
-            assert equal(lhs, rhs)
+            assert lhs == rhs
 
 
 def test_binomial_of_h():
@@ -103,7 +99,7 @@ def test_binomial_of_h():
     b = binomial(h(2), 2)
     hh = from_lie(h(2))
     expected = multiply(hh, hh - UEA_ONE).scale(Fraction(1, 2))
-    assert equal(pbw_normal_form(b), pbw_normal_form(expected))
+    assert b == expected
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3))
@@ -113,7 +109,7 @@ def test_normal_form_linear(j, l, k):
     b = divided_power(h(k), 2)
     lhs = pbw_normal_form(a + b)
     rhs = pbw_normal_form(a) + pbw_normal_form(b)
-    assert equal(lhs, rhs)
+    assert lhs == rhs
 
 
 # canonical letters: h from index 0, the x's from index 1
@@ -223,13 +219,14 @@ def test_fused_product_matches_the_rightmost_oracle():
     free = constants = 0
     for _ in range(300):
         a, b = _operand(rng), _operand(rng)
-        assert multiply(a, b) == pbw_normal_form(a.convolve(b), "rightmost")
-        free += pbw_normal_form(a) != a
+        na, nb = pbw_normal_form(a), pbw_normal_form(b)
+        assert multiply(na, nb) == pbw_normal_form(a.convolve(b), "rightmost")
+        free += na != a
         constants += () in a.num or () in b.num
-        for u in pbw_normal_form(a).num:
-            for v in pbw_normal_form(b).num:
+        for u in na.num:
+            for v in nb.num:
                 seams[_seam(u, v)] += 1
-    # every branch of the seam rule, and the operand normalization, ran
+    # every branch of the seam rule ran, and the oracle rewrote free products
     assert min(seams.values()) > 100 and free > 50 and constants > 50, (seams, free, constants)
 
 
