@@ -38,7 +38,6 @@ from .expr import (
 )
 from .straighten import (
     AmbiguousSolution,
-    NoLambdaExpression,
     OutOfTruncation,
     coordinates,
     monomial_to_text,
@@ -194,9 +193,6 @@ def cmd_coords(args) -> int:
     except AmbiguousSolution as exc:
         print(f"error: coordinates not unique at this truncation "
               f"(kernel dimension {len(exc.kernel)})", file=sys.stderr)
-        return 1
-    except NoLambdaExpression as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     nonzero = {w: c for w, c in coords.items() if c != 0}
     integral = all(c.denominator == 1 for c in nonzero.values())

@@ -12,10 +12,10 @@ basis at a finite truncation.
 
 from __future__ import annotations
 
-import bisect
+import collections
 import functools
+import heapq
 import math
-from fractions import Fraction
 from typing import NamedTuple, Union
 
 from . import caches, linalg
@@ -305,62 +305,68 @@ def move_x_past_lambda(sign: int, x_index: int, r: int,
 #
 # The product L_{j,l,k} L_{j,l,m} is binom(k+m,k) L_{j,l,k+m} plus a
 # correction of strictly lower filtration degree that must come out as
-# an integer combination of Lambda products.  The correction is found
-# degree by degree.  The elements Y_i := h_i - h_{i-2} (i >= 2) are a
-# lattice basis of the degree-one span of all order-1 Lambda factors,
-# realized by the chain pairs: Y_i = -expand(L_{i-1,1,1}).  The top
-# homogeneous part of the remainder is rewritten as a polynomial in
-# h_0, h_1 and the Y_i; a genuine correction has no h_0/h_1 part, and
-# its divided-monomial coordinates in the Y_i must be integers.  Each
-# divided Y-monomial is the exact leading part of the matching product
-# of chain-pair Lambda factors, so subtracting those products kills the
-# top degree and the recursion terminates.
+# an integer combination of Lambda products.  The correction is a
+# combination of chain words, products of chain-pair factors
+# L_{t-1,1,q} (t >= 2, one factor per t), found by division by leading
+# terms in the h-words the remainder is written in.  Order h-words by
+# length, then by their indices read from the top down: a multiplicative
+# order, under which L_{t-1,1,1} = h_{t-2} - h_t leads with -h_t and a
+# chain word of degree d leads with the h-word of its indices, each t
+# repeated q times, at coefficient (-1)^d / prod q!.  So the largest
+# word left names the next chain word and its coefficient, which must be
+# an integer; a leading h_0 or h_1 is no chain word's.
 
 _MERGE_CACHE: dict = caches.register({})
 
 
-def _y_coordinates(component: LinComb) -> LinComb:
-    """Homogeneous h-polynomial -> ordinary monomial coords in the Y_i.
+def _chain_correction(remainder: UEAElement) -> dict:
+    """The chain words ``{word: int}`` whose expansions sum to ``remainder``.
 
-    The input is keyed by sorted h-index tuples, the output by sorted
-    Y-index tuples, both over the input's denominator.
-    A ring map: each letter is substituted once, as
-    h_i = h_parity + Y_i + Y_{i-2} + ..., and word prefixes expand with
-    merging; raises NoLambdaExpression if any h_0/h_1 content survives.
+    ``remainder`` is a combination of h-words.  Its largest word is
+    divided out by the chain word that leads with it, whose cached
+    expansion is subtracted in place from one numerator dict, until
+    nothing is left.  Raises NoLambdaExpression when the largest word
+    holds h_0 or h_1, or its chain coefficient is not an integer.
     """
-    # A monomial is a sorted letter tuple: 0 and 1 stand for the bases
-    # h_0 and h_1, t >= 2 for Y_t, so base letters sort first.
-    expansions: dict = {(): {(): 1}}
+    def order(w):  # a min-heap entry: the largest word comes out first
+        return (-len(w), tuple(-b.index for b in reversed(w))), w
 
-    def expansion(word: tuple) -> dict:
-        cut = len(word)
-        while word[:cut] not in expansions:
-            cut -= 1
-        got = expansions[word[:cut]]
-        for cut in range(cut + 1, len(word) + 1):
-            i = word[cut - 1]
-            letters = (i % 2, *range(i, 1, -2))
-            nxt: dict = {}
-            for mono, n in got.items():
-                for t in letters:
-                    at = bisect.bisect_right(mono, t)
-                    key = mono[:at] + (t,) + mono[at:]
-                    nxt[key] = nxt.get(key, 0) + n
-            got = expansions[word[:cut]] = nxt
-        return got
-
-    total: dict = {}
-    for word, n in component.num.items():
-        add_scaled(total, n, expansion(word).items())
-    total = LinComb.over(total, component.den)
-    if any(mono and mono[0] < 2 for mono in total.num):
-        bad = {}
-        for mono, c in total.items():
-            at = bisect.bisect_left(mono, 2)
-            if at:
-                bad[mono[:at], mono[at:]] = c
-        raise NoLambdaExpression(f"h_0/h_1 content in correction: {bad}")
-    return total
+    num, den = dict(remainder.num), remainder.den
+    heap = [order(w) for w in num]
+    heapq.heapify(heap)
+    out: dict = {}
+    while heap:
+        _, w = heapq.heappop(heap)
+        n = num[w]
+        if not n:
+            del num[w]
+            continue
+        if w and w[0].index < 2:
+            raise NoLambdaExpression(f"h_0/h_1 in the leading word {UEAElement({w: 1})}")
+        mult = collections.Counter(b.index for b in w)  # each t with its q, t increasing
+        c, r = divmod(n * math.prod(map(math.factorial, mult.values())), den)
+        if r:
+            raise NoLambdaExpression(
+                f"non-integral chain coefficient at {UEAElement({w: 1})}")
+        if len(w) % 2:
+            c = -c
+        word = tuple(LFactor(t - 1, 1, q) for t, q in mult.items())
+        out[word] = c
+        e = expand_word(word)
+        if den % e.den:
+            g = e.den // math.gcd(den, e.den)
+            num = {v: g * x for v, x in num.items()}
+            den *= g
+        f = c * (den // e.den)
+        for v, x in e.num.items():
+            old = num.get(v)
+            if old is None:
+                num[v] = -f * x
+                heapq.heappush(heap, order(v))
+            else:
+                num[v] = old - f * x
+        del num[w]
+    return out
 
 
 def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
@@ -370,40 +376,9 @@ def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
         return got
     lead = lfactor(j, l, k + m)
     lead_coeff = binom(k + m, k)
-    # the correction NF(L_k L_m) - C L_{k+m}, removed one degree at a time
     remainder = (expand_word((lfactor(j, l, k), lfactor(j, l, m)))
                  - expand_factor(lead).scale(lead_coeff))
-    corr: dict = {}
-    while not remainder.is_zero:
-        d = max(map(len, remainder.num))
-        if d == 0:
-            if remainder.den != 1:
-                raise NoLambdaExpression(
-                    f"non-integral constant term {remainder.coeffs[()]}")
-            corr[()] = remainder.num[()]
-            break
-        coords = _y_coordinates(LinComb.over(
-            {tuple(b.index for b in w): n for w, n in remainder.num.items() if len(w) == d},
-            remainder.den))
-        # distinct Y-monomials give distinct words, all of mdegree d
-        step: dict = {}
-        for ys, n in coords.num.items():
-            mult: dict[int, int] = {}
-            for t in ys:
-                mult[t] = mult.get(t, 0) + 1
-            for q in mult.values():
-                n *= math.factorial(q)
-            c, r = divmod(n, coords.den)
-            if r:
-                raise NoLambdaExpression(
-                    f"non-integral Y-coordinate {Fraction(n, coords.den)} at {ys} "
-                    f"merging orders ({k},{m}) on pair ({j},{l})")
-            word = tuple(LFactor(t - 1, 1, q) for t, q in sorted(mult.items()))
-            step[word] = c if d % 2 == 0 else -c
-        # each word's expansion leads with its Y-monomial, so this clears degree d
-        remainder = remainder - expand(MForm(step))
-        corr.update(step)
-    out = monomial(lead).scale(lead_coeff) + MForm(corr)
+    out = monomial(lead).scale(lead_coeff) + MForm(_chain_correction(remainder))
     _MERGE_CACHE[key] = out
     return out
 

@@ -1,15 +1,15 @@
 """Enveloping-algebra layer: words over the basis and PBW normal forms.
 
 Elements are rational combinations of words (finite sequences of
-canonical basis elements).  :func:`multiply`, and every power built on
-it, takes normal forms and returns one; a free value, such as a
-``convolve`` product, enters through :func:`pbw_normal_form`.  A normal
-word is three blocks, x-, then h, then x+, each sorted; letters of one
-kind commute.  So a word's normal form is a fold from the right: each
-letter passes the lower-kind prefix of the normal words built so far by
-``ab -> ba + [a,b]`` and the rest joins at a seam inside the letter's
-own kind.  Two normal words join at the seam without rewriting when they
-are in order there or meet inside one kind.
+canonical basis elements).  :func:`multiply` takes normal forms and
+returns one; the powers built on it take a Lie element.  A free value,
+such as a ``convolve`` product, enters through :func:`pbw_normal_form`.
+A normal word is three blocks, x-, then h, then x+, each sorted; letters
+of one kind commute.  So a word's normal form is a fold from the right:
+each letter passes the lower-kind prefix of the normal words built so
+far by ``ab -> ba + [a,b]`` and the rest joins at a seam inside the
+letter's own kind.  Two normal words join at the seam without rewriting
+when they are in order there or meet inside one kind.
 :func:`rewrite` is the package's one pair-rewriting engine: the
 straightening calculus runs it with its own factor order and rules, and
 the PBW theorem's independence of the route is checked by running it on
@@ -280,27 +280,25 @@ def pbw_normal_form(a: UEAElement, strategy: str = "leftmost") -> UEAElement:
     return UEAElement.over(out, a.den)
 
 
-def power(a: UEAElement, k: int) -> UEAElement:
-    out = UEA_ONE
+def divided_power(a: LieElement, k: int) -> UEAElement:
+    """a^k / k!, multiplied one normal factor at a time."""
+    if not isinstance(a, LieElement):
+        raise TypeError(f"divided_power takes a LieElement, not {type(a).__name__}")
+    if k < 0:
+        return UEA_ZERO
+    u, out = from_lie(a), UEA_ONE
     for _ in range(k):
-        out = multiply(out, a)
-    return out
+        out = multiply(out, u)
+    return out.divide(math.factorial(k))
 
 
-def divided_power(a: UEAElement | LieElement, k: int) -> UEAElement:
-    if isinstance(a, LieElement):
-        a = from_lie(a)
+def binomial(a: LieElement, k: int) -> UEAElement:
+    """a(a-1)...(a-k+1) / k!."""
+    if not isinstance(a, LieElement):
+        raise TypeError(f"binomial takes a LieElement, not {type(a).__name__}")
     if k < 0:
         return UEA_ZERO
-    return power(a, k).divide(math.factorial(k))
-
-
-def binomial(a: UEAElement | LieElement, k: int) -> UEAElement:
-    if isinstance(a, LieElement):
-        a = from_lie(a)
-    if k < 0:
-        return UEA_ZERO
-    out = UEA_ONE
+    u, out = from_lie(a), UEA_ONE
     for i in range(k):
-        out = multiply(out, a - UEA_ONE.scale(i))
+        out = multiply(out, u - UEA_ONE.scale(i))
     return out.divide(math.factorial(k))

@@ -160,7 +160,7 @@ def test_normalize_command(capsys):
 
 
 def test_normalize_divided_power_of_a_sum(capsys):
-    # power() normalizes after each factor; multiplying out all nine
+    # divided_power normalizes after each factor; multiplying out all nine
     # three-letter factors first took about 7 s
     start = time.perf_counter()
     assert main(["normalize", "dp(xp(1)+xm(1)+h(1),9)"]) == 0
@@ -249,6 +249,19 @@ def test_audit_commands(capsys):
                  "--format", "json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "eb19fc3d54d550395cc31adc3c4c79d24db26290727ef6027c257f50a4a73780"
+
+
+@pytest.mark.parametrize("argv, code, want", [
+    # the default grid: 3217 pass, and the one by-design failure exits 1
+    ([], 1, "bba11c2df063c0e283bcc0b3b937e0744159e457ac045afba011c9f049d01d79"),
+    # merges Lambda orders up to 8, past the default grid
+    (["--suite", "LL", "--max-index", "3", "--max-order", "4"], 0,
+     "89bf746b63648558706b218a467e4043a9d03bdb1ee4e0b7e41c865be88ff151"),
+], ids=["default", "LL-3-4"])
+def test_verify_report_digests(argv, code, want, monkeypatch, capsys):
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    assert main(["verify", *argv, "--format", "json"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 def test_degree_one_values_written_as_products(capsys):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onsager.elements import binom, d_triple, duv_rec, lambda_rec
-from onsager.lie import LIE_ZERO, BasisElement, Kind, LinComb, bracket_basis, h, xminus, xplus
+from onsager.lie import LIE_ZERO, BasisElement, Kind, bracket_basis, h, xminus, xplus
 from onsager import caches
-from onsager.uea import UEA_ONE, divided_power, from_lie, multiply, pbw_normal_form
+from onsager.uea import UEA_ONE, UEAElement, divided_power, from_lie, multiply, pbw_normal_form
 from onsager.straighten import (
     AmbiguousSolution,
     LFactor,
@@ -34,7 +35,7 @@ from onsager.straighten import (
     normalize_to_basis,
     straighten_plus_minus,
     straighten_same_x,
-    _y_coordinates,
+    _chain_correction,
 )
 
 
@@ -114,82 +115,48 @@ def test_merge_lambda_pair_leading_term():
                 assert expand(out) == product
 
 
-def test_y_coordinates_keeps_h0_and_h1_apart():
-    # h_2 - h_0 is the chain element Y_2
-    assert _y_coordinates(LinComb({(2,): 1, (0,): -1})).coeffs == {(2,): 1}
-    # h_0 - h_1 is all base content: the two bases must not cancel
+def test_chain_correction_keeps_h0_and_h1_apart():
+    # h_2 - h_0 is -L_{1,1,1}, a chain factor
+    assert _chain_correction(from_lie(h(2) - h(0))) == {(LFactor(1, 1, 1),): -1}
+    # h_0 - h_1 leads with h_1, which no chain word does
     with pytest.raises(NoLambdaExpression):
-        _y_coordinates(LinComb({(0,): 1, (1,): -1}))
+        _chain_correction(from_lie(h(0) - h(1)))
 
 
-def _y_coordinates_by_enumeration(component: dict) -> dict:
-    """Oracle: every choice of substitution for every letter, one by one."""
-    coords: dict = {}
-    leftovers: dict = {}
-    for word, c in component.items():
-        options = [[(0, i % 2)] + [(1, t) for t in range(i, 1, -2)] for i in word]
-        for choice in itertools.product(*options):
-            base = tuple(sorted(t for tag, t in choice if not tag))
-            ys = tuple(sorted(t for tag, t in choice if tag))
-            if base:
-                leftovers[base, ys] = leftovers.get((base, ys), 0) + c
-            else:
-                coords[ys] = coords.get(ys, 0) + c
-    bad = {k: v for k, v in leftovers.items() if v != 0}
-    if bad:
-        raise NoLambdaExpression(f"h_0/h_1 content in correction: {bad}")
-    return {k: v for k, v in coords.items() if v != 0}
+# chain words: factors L_{t-1,1,q} with t in 2..8, q <= 3, degree <= 4
+CHAIN_WORDS = (st.lists(st.integers(2, 8), max_size=4)
+               .map(collections.Counter)
+               .filter(lambda ts: max(ts.values(), default=0) <= 3)
+               .map(lambda ts: tuple(LFactor(t - 1, 1, q) for t, q in sorted(ts.items()))))
+CHAIN_COMBOS = st.dictionaries(CHAIN_WORDS, st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=3)
+H_WORDS = st.lists(st.integers(0, 8), max_size=4).map(
+    lambda ts: tuple(BasisElement(Kind.H, t) for t in sorted(ts)))
+COEFFS = st.one_of(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                   st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool))
 
 
-def _chain_image(ys: tuple) -> dict:
-    """The h-words of a product of Y_t = h_t - h_{t-2}."""
-    out: dict = {(): 1}
-    for t in ys:
-        nxt: dict = {}
-        for word, c in out.items():
-            for i, s in ((t, 1), (t - 2, -1)):
-                w = tuple(sorted(word + (i,)))
-                nxt[w] = nxt.get(w, 0) + s * c
-        out = nxt
-    return out
-
-
-Y_COEFFS = st.one_of(st.integers(-3, 3).filter(bool),
-                     st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool))
-
-
-@st.composite
-def _components(draw):
-    """Homogeneous h-polynomials of degree <= 4 over h_0..h_8: arbitrary
-    ones (mostly with base content), and images of Y-polynomials,
-    optionally disturbed by one arbitrary word."""
-    d = draw(st.integers(0, 4))
-    words = st.lists(st.integers(0, 8), min_size=d, max_size=d).map(lambda w: tuple(sorted(w)))
-    if draw(st.booleans()):
-        return draw(st.dictionaries(words, Y_COEFFS, max_size=4))
-    out: dict = {}
-    ys_words = st.lists(st.integers(2, 8), min_size=d, max_size=d).map(tuple)
-    for ys, c in draw(st.dictionaries(ys_words, Y_COEFFS, max_size=3)).items():
-        for w, v in _chain_image(ys).items():
-            out[w] = out.get(w, 0) + c * v
-    if draw(st.booleans()):
-        w = draw(words)
-        out[w] = out.get(w, 0) + draw(Y_COEFFS)
-    return out
-
-
-@given(_components(), st.integers(1, 3))
-@settings(deadline=None, max_examples=300)
-def test_y_coordinates_ring_map_matches_enumeration(component, den):
-    scaled = LinComb(component).divide(den)
-    try:
-        want = _y_coordinates_by_enumeration(
-            {w: Fraction(c, den) for w, c in component.items()})
-    except NoLambdaExpression:
+@given(CHAIN_COMBOS)
+@settings(deadline=None, max_examples=150)
+def test_chain_correction_inverts_expand(combo):
+    target = expand(MForm(combo))
+    assert _chain_correction(target) == combo
+    # half the expansion is an integer combination only if every coefficient is even
+    if all(c % 2 == 0 for c in combo.values()):
+        assert _chain_correction(target.divide(2)) == {w: c // 2 for w, c in combo.items()}
+    else:
         with pytest.raises(NoLambdaExpression):
-            _y_coordinates(scaled)
+            _chain_correction(target.divide(2))
+
+
+@given(CHAIN_COMBOS, H_WORDS, COEFFS)
+@settings(deadline=None, max_examples=150)
+def test_chain_correction_of_a_disturbed_expansion(combo, word, c):
+    target = expand(MForm(combo)) + UEAElement({word: c})
+    try:
+        got = _chain_correction(target)
+    except NoLambdaExpression:
         return
-    assert _y_coordinates(scaled).coeffs == want
+    assert expand(MForm(got)) == target
 
 
 def test_merge_small_case_exact():

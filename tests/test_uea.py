@@ -15,7 +15,6 @@ from onsager.uea import (
     from_lie,
     multiply,
     pbw_normal_form,
-    power,
     rewrite,
 )
 from onsager import caches, lie, uea
@@ -83,7 +82,18 @@ def test_divided_power_basics():
     x = xplus(2)
     assert divided_power(x, 0) == UEA_ONE
     assert divided_power(x, 1) == from_lie(x)
-    assert power(from_lie(x), 3) == divided_power(x, 3).scale(Fraction(6))
+    u = from_lie(x)
+    assert multiply(multiply(u, u), u) == divided_power(x, 3).scale(Fraction(6))
+
+
+def test_powers_take_a_lie_element_only():
+    # multiply trusts its operands to be normal forms, so a free product
+    # here would give a non-normal power: only a Lie element is taken
+    free = from_lie(xplus(1)).convolve(from_lie(xminus(1)))
+    for power in (divided_power, binomial):
+        for operand in (free, from_lie(xplus(1))):
+            with pytest.raises(TypeError):
+                power(operand, 2)
 
 
 def test_divided_power_product_rule():
