@@ -288,16 +288,10 @@ def cmd_realize(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
-def build_parser(defaults: dict) -> _ArgumentParser:
-    parser = _ArgumentParser(prog="onsager",
-                             description="Exact kernel for the Onsager algebra "
-                                         "and its integral enveloping form.")
+def build_parser(defaults: dict) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="onsager",
+                                     description="Exact kernel for the Onsager algebra "
+                                                 "and its integral enveloping form.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def fmt(p):
@@ -357,7 +351,7 @@ def build_parser(defaults: dict) -> _ArgumentParser:
 # parsers by config defaults, built on first use (not at import); parsing
 # leaves a parser unchanged and usage lines take COLUMNS when printed, so
 # one parser serves every call with the same defaults
-_PARSERS: dict[tuple, _ArgumentParser] = {}
+_PARSERS: dict[tuple, argparse.ArgumentParser] = {}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -127,30 +127,31 @@ def lambda_rec(j: int, l: int, k: int) -> UEAElement:
     return got
 
 
+def _powers(s: list[UEAElement], n: int, top: int) -> list[list[UEAElement]]:
+    """s^0 .. s^n, each listed by degree up to ``top``, for the series
+    s[1] w + ... + s[D] w^D given by its normal-form coefficients (s[0] is
+    not read).  s^m = s^(m-1) s degree by degree; s^m lies in the degrees
+    m .. mD, so only products of terms in those supports are formed."""
+    deg = len(s) - 1
+    powers = [[UEA_ONE] + [UEA_ZERO] * top]
+    for m in range(1, n + 1):
+        prev = powers[-1]
+        powers.append([UEA_ZERO] * m + [UEAElement.combine(
+            (1, multiply(prev[a], s[d - a]))
+            for a in range(max(m - 1, d - deg), min((m - 1) * deg, d - 1) + 1))
+            for d in range(m, top + 1)])
+    return powers
+
+
 def lambda_series(j: int, l: int, k: int) -> UEAElement:
     """Coefficient of u^k in exp(-sum_s p_s u^s / s), truncated at s=k."""
     if k < 0:
         return UEA_ZERO
-    # inner[s] = coefficient of u^s in -sum p_s u^s / s
-    inner = [UEA_ZERO] + [
-        (-from_lie(p_def(s, j, l))).divide(s) for s in range(1, k + 1)
-    ]
-    # exp, truncated to degree k
-    result = [UEA_ONE] + [UEA_ZERO] * k
-    term = [UEA_ONE] + [UEA_ZERO] * k  # inner^m / m!, degree-truncated
-    for m in range(1, k + 1):
-        new = [UEA_ZERO] * (k + 1)
-        for d1 in range(k + 1):
-            if term[d1].is_zero:
-                continue
-            for d2 in range(1, k + 1 - d1):
-                if inner[d2].is_zero:
-                    continue
-                new[d1 + d2] = new[d1 + d2] + multiply(term[d1], inner[d2])
-        term = [e.divide(m) for e in new]
-        for d in range(k + 1):
-            result[d] = result[d] + term[d]
-    return result[k]
+    inner = [UEA_ZERO] + [(-from_lie(p_def(s, j, l))).divide(s) for s in range(1, k + 1)]
+    # the u^k coefficient of exp(s) = sum_m s^m / m!, over the denominator k!
+    return UEAElement.combine(((math.factorial(k) // math.factorial(m), power[k])
+                               for m, power in enumerate(_powers(inner, k, k))),
+                              math.factorial(k))
 
 
 _DUV_CACHE: dict = caches.register({})
@@ -172,26 +173,31 @@ def duv_rec(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
 
 def exponent_tuples(weight: int, total: int) -> list[tuple[int, ...]]:
     """Tuples (k_0..k_w) of nonnegatives with sum k_i = total and
-    sum i*k_i = weight."""
-    results: list[tuple[int, ...]] = []
-    ks = [0] * (weight + 1)
+    sum i*k_i = weight, in increasing order of the reversed tuple."""
+    # tails (k_i..k_w) with their unspent total and weight, extended one
+    # index down; k_0 takes the total left once the weight is spent
+    partial = [((), total, weight)]
+    for i in range(weight, 0, -1):
+        partial = [((k,) + tail, left - k, rest - i * k)
+                   for tail, left, rest in partial
+                   for k in range(min(left, rest // i) + 1)]
+    return [(left,) + tail for tail, left, rest in partial if rest == 0]
 
-    def rec(i: int, rem_total: int, rem_weight: int) -> None:
-        if i == 0:
-            if rem_weight == 0:
-                ks[0] = rem_total
-                results.append(tuple(ks))
-                ks[0] = 0
-            return
-        for k in range(rem_total + 1):
-            if i * k > rem_weight:
-                break
-            ks[i] = k
-            rec(i - 1, rem_total - k, rem_weight - i * k)
-        ks[i] = 0
 
-    rec(weight, total, weight)
-    return results
+def ladder(power, weight: int, total: int, one):
+    """Sum over exponent_tuples(weight, total) of the products
+    one * power(i, k_i) * ... over the k_i > 0 by increasing i; ``*`` is
+    ``multiply`` on a UEAElement and ``convolve`` on an MForm."""
+    terms = []
+    for ks in exponent_tuples(weight, total):
+        term = one
+        for i, k in enumerate(ks):
+            if k:
+                term = term * power(i, k)
+                if term.is_zero:
+                    break
+        terms.append((1, term))
+    return one.combine(terms)
 
 
 def duv_multinomial(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
@@ -200,14 +206,7 @@ def duv_multinomial(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
         return UEA_ZERO
     if v == 0:
         return UEA_ONE if u == 0 else UEA_ZERO
-    terms = []
-    for ks in exponent_tuples(u, v):
-        term = UEA_ONE
-        for i, k in enumerate(ks):
-            if k:
-                term = multiply(term, divided_power(d1_rec(sign, i, j, l), k))
-        terms.append((1, term))
-    return UEAElement.combine(terms)
+    return ladder(lambda i, k: divided_power(d1_rec(sign, i, j, l), k), u, v, UEA_ONE)
 
 
 def duv_series(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
@@ -217,23 +216,8 @@ def duv_series(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
         return UEA_ZERO
     if v == 0:
         return UEA_ONE if u == 0 else UEA_ZERO
-    top = u + v
-    poly = [UEA_ZERO] * (top + 1)
-    for m in range(u + 1):
-        if m + 1 <= top:
-            poly[m + 1] = from_lie(d1_rec(sign, m, j, l))
-    acc = [UEA_ONE] + [UEA_ZERO] * top
-    for _ in range(v):
-        new = [UEA_ZERO] * (top + 1)
-        for d1 in range(top + 1):
-            if acc[d1].is_zero:
-                continue
-            for d2 in range(1, top + 1 - d1):
-                if poly[d2].is_zero:
-                    continue
-                new[d1 + d2] = new[d1 + d2] + multiply(acc[d1], poly[d2])
-        acc = new
-    return acc[top].divide(math.factorial(v))
+    poly = [UEA_ZERO] + [from_lie(d1_rec(sign, m, j, l)) for m in range(u + 1)]
+    return _powers(poly, v, u + v)[v][u + v].divide(math.factorial(v))
 
 
 def d_triple(sign: int, u: int, j: int, k: int, m: int) -> LieElement:

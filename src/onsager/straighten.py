@@ -28,7 +28,7 @@ from .uea import (
     pbw_normal_form,
     rewrite,
 )
-from .elements import binom, d1_closed, d_triple, exponent_tuples, lambda_rec
+from .elements import binom, d1_closed, d_triple, ladder, lambda_rec
 
 
 class NoLambdaExpression(Exception):
@@ -216,21 +216,6 @@ def divided_x(a: LieElement, v: int) -> MForm:
     return MForm.over({word: coeff for word, coeff, _ in words}, a.den ** v)
 
 
-def _ladder(layer, weight: int, total: int) -> MForm:
-    """Sum over exponent tuples (k_0..k_weight) with total ``total`` and
-    weight ``weight`` of the products of ``divided_x(layer(i), k_i)``."""
-    terms = []
-    for ks in exponent_tuples(weight, total):
-        term = M_ONE
-        for i, k in enumerate(ks):
-            if k:
-                term = term * divided_x(layer(i), k)
-                if term.is_zero:
-                    break
-        terms.append((1, term))
-    return MForm.combine(terms)
-
-
 _DUV_MFORM: dict = caches.register({})
 
 
@@ -247,7 +232,8 @@ def duv_mform(sign: int, u: int, v: int, j: int, l: int) -> MForm:
     key = (sign, u, v, j, l)
     got = _DUV_MFORM.get(key)
     if got is None:
-        got = _DUV_MFORM[key] = _ladder(lambda i: d1_closed(sign, i, j, l), u, v)
+        got = _DUV_MFORM[key] = ladder(
+            lambda i, k: divided_x(d1_closed(sign, i, j, l), k), u, v, M_ONE)
     return got
 
 
@@ -295,7 +281,8 @@ def move_x_past_lambda(sign: int, x_index: int, r: int,
     terms = []
     for i in range(n + 1):
         lam = monomial(lfactor(k, m, n - i)) if n - i else M_ONE
-        inner = _ladder(lambda u: d_triple(sign, u, x_index, k, m).scale(u + 1), i, r)
+        inner = ladder(lambda u, v: divided_x(d_triple(sign, u, x_index, k, m).scale(u + 1), v),
+                       i, r, M_ONE)
         terms.append((1, lam * inner if sign > 0 else inner * lam))
     return MForm.combine(terms)
 

@@ -203,10 +203,9 @@ def _chk_DU1L(u, n, j, l) -> Check:
 
 def _chk_LDP(i, k, j, l) -> Check:
     lhs = multiply(lambda_rec(j, l, i), from_lie(d1_closed(1, k, j, l)))
-    rhs = (multiply(from_lie(d1_closed(1, k, j, l)), lambda_rec(j, l, i))
-           + multiply(from_lie(d1_closed(1, k + 1, j, l)),
-                      lambda_rec(j, l, i - 1)).scale(-2)
-           + multiply(from_lie(d1_closed(1, k + 2, j, l)), lambda_rec(j, l, i - 2)))
+    rhs = UEAElement.combine(
+        (c, multiply(from_lie(d1_closed(1, k + t, j, l)), lambda_rec(j, l, i - t)))
+        for t, c in enumerate((1, -2, 1)))
     return _eq(lhs, rhs)
 
 

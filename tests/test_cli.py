@@ -257,7 +257,10 @@ def test_audit_commands(capsys):
     # merges Lambda orders up to 8, past the default grid
     (["--suite", "LL", "--max-index", "3", "--max-order", "4"], 0,
      "89bf746b63648558706b218a467e4043a9d03bdb1ee4e0b7e41c865be88ff151"),
-], ids=["default", "LL-3-4"])
+    # every route of the Lambda and D families at order 4, past the default grid
+    (["--suite", "LREC,DUV,CORINT,I7,I8,I9", "--max-index", "3", "--max-order", "4"], 0,
+     "ef437087d44380e94f17e78268fa5e4a74d12774cf2693a43f7491ac65457b87"),
+], ids=["default", "LL-3-4", "ladders-3-4"])
 def test_verify_report_digests(argv, code, want, monkeypatch, capsys):
     monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
     assert main(["verify", *argv, "--format", "json"]) == code

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -131,11 +132,15 @@ def test_duv_three_methods_agree():
 
 
 def test_exponent_tuples():
-    # weight 2 from parts of sizes 0..2: v_1 + 2 v_2 = 2, total v_0+v_1+v_2 = 3
-    tuples = exponent_tuples(2, 3)
-    assert all(sum(i * v for i, v in enumerate(t)) == 2 for t in tuples)
-    assert all(sum(t) == 3 for t in tuples)
-    assert len(set(tuples)) == len(tuples)
+    # every tuple with sum k_i = total and sum i*k_i = weight, by brute
+    # force, in increasing order of the reversed tuple
+    for weight in range(7):
+        for total in range(7):
+            want = sorted((ks for ks in itertools.product(range(total + 1), repeat=weight + 1)
+                           if sum(ks) == total
+                           and sum(i * k for i, k in enumerate(ks)) == weight),
+                          key=lambda ks: ks[::-1])
+            assert exponent_tuples(weight, total) == want, (weight, total)
 
 
 def test_d_triple_closed_form():
