@@ -279,9 +279,7 @@ def cmd_audit_theorem(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    mat = loop.embed(as_lie(_eval_arg(args.expr)))
-    for row in ((mat.a11, mat.a12), (mat.a21, mat.a22)):
-        print("[ " + "   ".join(map(repr, row)) + " ]")
+    print(loop.embed(as_lie(_eval_arg(args.expr))))
     return 0
 
 

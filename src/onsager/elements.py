@@ -131,15 +131,17 @@ def _powers(s: list[UEAElement], n: int, top: int) -> list[list[UEAElement]]:
     """s^0 .. s^n, each listed by degree up to ``top``, for the series
     s[1] w + ... + s[D] w^D given by its normal-form coefficients (s[0] is
     not read).  s^m = s^(m-1) s degree by degree; s^m lies in the degrees
-    m .. mD, so only products of terms in those supports are formed."""
+    m .. mD, so only products of terms in those supports are formed.  The
+    callers read the last power s^n only in degree ``top``, so it is
+    formed only there (its lower degrees are listed as zero)."""
     deg = len(s) - 1
     powers = [[UEA_ONE] + [UEA_ZERO] * top]
     for m in range(1, n + 1):
-        prev = powers[-1]
-        powers.append([UEA_ZERO] * m + [UEAElement.combine(
+        prev, low = powers[-1], m if m < n else top
+        powers.append([UEA_ZERO] * low + [UEAElement.combine(
             (1, multiply(prev[a], s[d - a]))
             for a in range(max(m - 1, d - deg), min((m - 1) * deg, d - 1) + 1))
-            for d in range(m, top + 1)])
+            for d in range(low, top + 1)])
     return powers
 
 

@@ -1,38 +1,24 @@
 """Concrete realization inside the sl2 loop algebra.
 
 2x2 traceless matrices over Laurent polynomials with Gaussian-rational
-coefficients.  This module is a test oracle only: the abstract layer in
-``lie.py`` never calls into it, which is what makes the structure
-constant cross-checks meaningful.
+coefficients, each one sparse combination: the key ``(row, col, e, r)``,
+with row, col and r in {0, 1}, stands for i^r * t^e in entry (row, col).
+Sums, scaling and equality are ``LinComb``'s; ``@`` is the one product.
+This module is a test oracle only: the abstract layer in ``lie.py``
+never calls into it, which is what makes the structure constant
+cross-checks meaningful.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .lie import BasisElement, Kind, LieElement, LinComb, bracket, generator
+from .lie import BasisElement, Kind, LieElement, LinComb, add_scaled, bracket, generator
 
 
 class LaurentPoly(LinComb):
-    """Laurent polynomial with Gaussian-rational coefficients: the key
-    ``(e, r)``, with r in {0, 1}, stands for i^r * t^e."""
+    """One matrix entry: the key ``(e, r)``, with r in {0, 1}, stands for
+    i^r * t^e."""
 
     __slots__ = ()
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Keyed product: exponents add, and i*i = -1."""
-        out: dict = {}
-        for (ea, ra), na in self.num.items():
-            for (eb, rb), nb in other.num.items():
-                k = (ea + eb, ra ^ rb)
-                c = -na * nb if ra & rb else na * nb
-                old = out.get(k)
-                out[k] = c if old is None else old + c
-        return self.over(out, self.den * other.den)
-
-    def invert_t(self) -> "LaurentPoly":
-        """Substitute t -> 1/t."""
-        return self._raw({(-e, r): n for (e, r), n in self.num.items()}, self.den)
 
     def __repr__(self):
         """Each exponent as ``(re±imi)*t^e``, exponents ascending."""
@@ -46,85 +32,77 @@ class LaurentPoly(LinComb):
         return " + ".join(parts)
 
 
-LP0 = LaurentPoly()
+class LoopMatrix(LinComb):
+    """2x2 matrix over Gaussian-rational Laurent polynomials."""
+
+    __slots__ = ()
+
+    def __matmul__(self, other: "LoopMatrix") -> "LoopMatrix":
+        """Matrix product: exponents add, and i*i = -1."""
+        rows: dict = {}
+        for (k, j, e, r), n in other.num.items():
+            rows.setdefault(k, []).append((j, e, r, n))
+        out: dict = {}
+        for (i, k, ea, ra), na in self.num.items():
+            add_scaled(out, na, (((i, j, ea + eb, ra ^ rb), -nb if ra & rb else nb)
+                                 for j, eb, rb, nb in rows.get(k, ())))
+        return self.over(out, self.den * other.den)
+
+    def entry(self, row: int, col: int) -> LaurentPoly:
+        """Entry (row, col) in lowest terms."""
+        return LaurentPoly.over({(e, r): n for (i, j, e, r), n in self.num.items()
+                                 if i == row and j == col}, self.den)
+
+    a11 = property(lambda self: self.entry(0, 0))
+    a12 = property(lambda self: self.entry(0, 1))
+    a21 = property(lambda self: self.entry(1, 0))
+    a22 = property(lambda self: self.entry(1, 1))
+
+    def __repr__(self):
+        """The two rows, each ``[ left   right ]``."""
+        return "\n".join("[ " + "   ".join(repr(self.entry(i, j)) for j in (0, 1)) + " ]"
+                         for i in (0, 1))
 
 
-def tpow(e: int, c: int = 1, r: int = 0) -> LaurentPoly:
-    """c * i^r * t^e."""
-    return LaurentPoly({(e, r): c})
+def tpow(e: int) -> LoopMatrix:
+    """t^e times the identity."""
+    return LoopMatrix._raw({(0, 0, e, 0): 1, (1, 1, e, 0): 1}, 1)
 
 
-def t_plus(k: int) -> LaurentPoly:
-    """t^k + t^-k."""
+def t_plus(k: int) -> LoopMatrix:
+    """(t^k + t^-k) times the identity."""
     return tpow(k) + tpow(-k)
 
 
-def t_minus(k: int) -> LaurentPoly:
-    """t^k - t^-k."""
+def t_minus(k: int) -> LoopMatrix:
+    """(t^k - t^-k) times the identity."""
     return tpow(k) - tpow(-k)
 
 
-@dataclass(frozen=True)
-class LoopMatrix:
-    a11: LaurentPoly = LP0
-    a12: LaurentPoly = LP0
-    a21: LaurentPoly = LP0
-    a22: LaurentPoly = LP0
-
-    def __add__(self, o):
-        return LoopMatrix(self.a11 + o.a11, self.a12 + o.a12, self.a21 + o.a21, self.a22 + o.a22)
-
-    def __sub__(self, o):
-        return LoopMatrix(self.a11 - o.a11, self.a12 - o.a12, self.a21 - o.a21, self.a22 - o.a22)
-
-    def __neg__(self):
-        return LoopMatrix(-self.a11, -self.a12, -self.a21, -self.a22)
-
-    def __matmul__(self, o):
-        return LoopMatrix(
-            self.a11 * o.a11 + self.a12 * o.a21,
-            self.a11 * o.a12 + self.a12 * o.a22,
-            self.a21 * o.a11 + self.a22 * o.a21,
-            self.a21 * o.a12 + self.a22 * o.a22,
-        )
-
-    def scale_poly(self, f: LaurentPoly):
-        return LoopMatrix(self.a11 * f, self.a12 * f, self.a21 * f, self.a22 * f)
-
-    @property
-    def is_zero(self):
-        return self.a11.is_zero and self.a12.is_zero and self.a21.is_zero and self.a22.is_zero
-
-
-M0 = LoopMatrix()
-
-# the constants 1 and i
-ONE, IMAG = tpow(0), tpow(0, r=1)
-
-# sl2 raising generator with constant entries
-X_PLUS = LoopMatrix(a12=ONE)
+# sl2 Cartan element diag(1, -1), with constant entries
+H_SL2 = LoopMatrix({(0, 0, 0, 0): 1, (1, 1, 0, 0): -1})
 
 # Fixed-point sl2 frame: h = -i(x+ - x-), x(+/-) = (x+ + x- -/+ ih)/2
-H_GAMMA = LoopMatrix(a12=-IMAG, a21=IMAG)
-X_GAMMA_PLUS = LoopMatrix(-IMAG.divide(2), ONE.divide(2), ONE.divide(2), IMAG.divide(2))
-X_GAMMA_MINUS = LoopMatrix(IMAG.divide(2), ONE.divide(2), ONE.divide(2), -IMAG.divide(2))
+H_GAMMA = LoopMatrix({(0, 1, 0, 1): -1, (1, 0, 0, 1): 1})
+X_GAMMA_PLUS = LoopMatrix.over(
+    {(0, 0, 0, 1): -1, (0, 1, 0, 0): 1, (1, 0, 0, 0): 1, (1, 1, 0, 1): 1}, 2)
+X_GAMMA_MINUS = LoopMatrix.over(
+    {(0, 0, 0, 1): 1, (0, 1, 0, 0): 1, (1, 0, 0, 0): 1, (1, 1, 0, 1): -1}, 2)
+
+# each family's frame element and the Laurent factor of its index
+_FRAME = {Kind.H: (H_GAMMA, t_plus), Kind.XPLUS: (X_GAMMA_PLUS, t_minus),
+          Kind.XMINUS: (X_GAMMA_MINUS, t_minus)}
 
 
 def embed_basis(b: BasisElement) -> LoopMatrix:
-    if b.kind == Kind.H:
-        return H_GAMMA.scale_poly(t_plus(b.index))
-    if b.kind == Kind.XPLUS:
-        return X_GAMMA_PLUS.scale_poly(t_minus(b.index))
-    return X_GAMMA_MINUS.scale_poly(t_minus(b.index))
+    frame, factor = _FRAME[b.kind]
+    return frame @ factor(b.index)
 
 
 def embed(a: LieElement | BasisElement) -> LoopMatrix:
     if isinstance(a, BasisElement):
         return embed_basis(a)
-    out = M0
-    for b, n in a.num.items():
-        out = out + embed_basis(b).scale_poly(tpow(0, n))
-    return out.scale_poly(ONE.divide(a.den))
+    return LoopMatrix.combine(((n, embed_basis(b)) for b, n in a.num.items()), a.den)
 
 
 def matrix_bracket(a: LoopMatrix, b: LoopMatrix) -> LoopMatrix:
@@ -133,27 +111,23 @@ def matrix_bracket(a: LoopMatrix, b: LoopMatrix) -> LoopMatrix:
 
 def sigma(m: LoopMatrix) -> LoopMatrix:
     """Diagonal involution: negative transpose on sl2, t -> 1/t."""
-    return LoopMatrix(
-        -m.a11.invert_t(), -m.a21.invert_t(), -m.a12.invert_t(), -m.a22.invert_t()
-    )
+    return LoopMatrix._raw({(j, i, -e, r): -n for (i, j, e, r), n in m.num.items()}, m.den)
 
 
 def omega(m: LoopMatrix) -> LoopMatrix:
     """Chevalley involution: swap-conjugation on sl2, t -> 1/t."""
-    return LoopMatrix(
-        m.a22.invert_t(), m.a21.invert_t(), m.a12.invert_t(), m.a11.invert_t()
-    )
+    return LoopMatrix._raw({(1 - i, 1 - j, -e, r): n for (i, j, e, r), n in m.num.items()},
+                           m.den)
 
 
 def onsager_A(m: int) -> LoopMatrix:
     """x+ (x) t^m + x- (x) t^-m."""
-    return LoopMatrix(a12=tpow(m), a21=tpow(-m))
+    return LoopMatrix({(0, 1, m, 0): 1, (1, 0, -m, 0): 1})
 
 
 def onsager_G(l: int) -> LoopMatrix:
     """(1/2) h (x) (t^l - t^-l)."""
-    half = t_minus(l).divide(2)
-    return LoopMatrix(a11=half, a22=-half)
+    return (H_SL2 @ t_minus(l)).divide(2)
 
 
 def verify_structure_constants(max_index: int):

@@ -486,17 +486,3 @@ def mform_coordinates(m: MForm, max_mdegree: int, max_index: int) -> dict:
                 f"monomial {w} exceeds mdegree {max_mdegree} or index {max_index}")
     return dict(normal.coeffs)
 
-
-def integrality_check(m: UEAElement | MForm, max_mdegree: int,
-                      max_index: int) -> tuple[bool, dict]:
-    """Whether the coordinates exist and are all integers.
-
-    Returns the verdict together with the offending (non-integral)
-    coordinates; an empty report means fully integral.
-    """
-    if isinstance(m, MForm):
-        coords = mform_coordinates(m, max_mdegree, max_index)
-    else:
-        coords = coordinates(m, max_mdegree, max_index)
-    bad = {w: c for w, c in coords.items() if c.denominator != 1}
-    return not bad, bad

@@ -1,4 +1,4 @@
-"""The shared sparse-combination behaviour of the four element types."""
+"""The shared sparse-combination behaviour of the element types."""
 
 import math
 import random
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onsager.lie import BasisElement, Kind, LieElement
-from onsager.loop import LaurentPoly
+from onsager.loop import LaurentPoly, LoopMatrix
 from onsager.straighten import LFactor, MForm, XFactor
 from onsager.uea import UEAElement
 
@@ -21,6 +21,7 @@ CASES = {
     "uea": (UEAElement, (XP1, H2), (), Fraction(0), Fraction(1)),
     "mform": (MForm, (XFactor(1, 1, 2),), (LFactor(2, 1, 1),), Fraction(0), Fraction(1)),
     "laurent": (LaurentPoly, (3, 0), (-1, 1), Fraction(0), Fraction(1)),
+    "loop": (LoopMatrix, (0, 1, 3, 0), (1, 1, -1, 1), Fraction(0), Fraction(1)),
 }
 
 
@@ -57,7 +58,7 @@ def test_equal_coefficient_dicts_in_different_types_differ():
     assert LieElement({XP1: Fraction(1)}) != UEAElement({XP1: Fraction(1)})
 
 
-@pytest.mark.parametrize("name", ["lie", "uea", "mform", "laurent"])
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_divide_is_exact_and_hands_integral_quotients_back_as_int(name):
     cls, k1, k2 = CASES[name][:3]
     q = cls({k1: 6, k2: -4}).divide(2)
@@ -163,30 +164,34 @@ def test_numerators_over_one_denominator_match_a_fraction_reference(start, ops):
         assert same == u and hash(same) == hash(u)
 
 
-# Laurent polynomials as exponent -> (re, im) pairs of true values
+# 2x2 loop matrices as (row, col, exponent) -> (re, im) pairs of true values
 GAUSSIAN = st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=4)] * 2)
-LAURENT = st.dictionaries(st.integers(-2, 2), GAUSSIAN, max_size=4)
+ENTRY_KEYS = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-2, 2))
+MATRICES = st.dictionaries(ENTRY_KEYS, GAUSSIAN, max_size=6)
 
 
-def _laurent(pairs: dict) -> LaurentPoly:
-    return LaurentPoly({(e, r): part for e, z in pairs.items() for r, part in enumerate(z)})
+def _matrix(entries: dict) -> LoopMatrix:
+    return LoopMatrix({(i, j, e, r): part for (i, j, e), z in entries.items()
+                       for r, part in enumerate(z)})
 
 
-@given(LAURENT, LAURENT)
+@given(MATRICES, MATRICES)
 @settings(deadline=None)
-def test_laurent_product_is_the_gaussian_convolution(pa, pb):
+def test_loop_matrix_product_is_the_entrywise_gaussian_product(ma, mb):
     ref: dict = {}
-    for ea, (ra, ia) in pa.items():
-        for eb, (rb, ib) in pb.items():
-            re, im = ref.get(ea + eb, (0, 0))
-            ref[ea + eb] = (re + ra * rb - ia * ib, im + ra * ib + ia * rb)
-    got = _laurent(pa) * _laurent(pb)
-    assert type(got) is LaurentPoly and _canonical(got)
-    assert got == _laurent(ref)
+    for (i, k, ea), (ra, ia) in ma.items():
+        for (kb, j, eb), (rb, ib) in mb.items():
+            if kb == k:
+                re, im = ref.get((i, j, ea + eb), (0, 0))
+                ref[(i, j, ea + eb)] = (re + ra * rb - ia * ib, im + ra * ib + ia * rb)
+    got = _matrix(ma) @ _matrix(mb)
+    assert type(got) is LoopMatrix and _canonical(got)
+    assert got == _matrix(ref)
     # i*i = -1, and a product that cancels to zero stores nothing
-    i = LaurentPoly({(0, 1): 1})
-    assert i * i == LaurentPoly({(0, 0): -1})
-    assert (_laurent(pa) * (i * i + LaurentPoly({(0, 0): 1}))).num == {}
+    i = _matrix({(0, 0, 0): (0, 1), (1, 1, 0): (0, 1)})
+    one = _matrix({(0, 0, 0): (1, 0), (1, 1, 0): (1, 0)})
+    assert i @ i == -one
+    assert (_matrix(ma) @ (i @ i + one)).num == {}
 
 
 def test_true_value_view_of_a_large_element_is_built_once():
@@ -240,7 +245,7 @@ def _element(cls, k1, k2):
     return st.builds(lambda a, b: cls({k1: a, k2: b}), value, value)
 
 
-@pytest.mark.parametrize("name", ["lie", "uea", "mform", "laurent"])
+@pytest.mark.parametrize("name", sorted(CASES))
 @given(data=st.data())
 @settings(deadline=None)
 def test_combine_is_the_chained_sum_in_lowest_terms(name, data):

@@ -1,9 +1,9 @@
 import math
 
-from onsager import loop
 from onsager.lie import BasisElement, Kind, bracket, h, xminus, xplus
 from onsager.loop import (
     LaurentPoly,
+    LoopMatrix,
     embed,
     matrix_bracket,
     omega,
@@ -33,10 +33,12 @@ def test_realization_entries_have_int_numerators_in_lowest_terms():
     images = [embed(b) for b in basis]
     images += [f(l) for l in range(-3, 4) for f in (onsager_A, onsager_G)]
     for m in images:
-        for p in (m.a11, m.a12, m.a21, m.a22):
+        assert type(m) is LoopMatrix
+        assert all(row in (0, 1) and col in (0, 1) and r in (0, 1)
+                   for row, col, _, r in m.num)
+        for p in (m, m.a11, m.a12, m.a21, m.a22):
             assert type(p.den) is int and p.den > 0
             assert all(type(n) is int and n for n in p.num.values())
-            assert all(r in (0, 1) for _, r in p.num)
             assert math.gcd(p.den, *p.num.values()) == 1
 
 
@@ -62,7 +64,8 @@ def test_sigma_fixes_embedded_generators():
 
 
 def test_sigma_moves_generic_matrix():
-    assert sigma(loop.X_PLUS.scale_poly(tpow(1))) != loop.X_PLUS.scale_poly(tpow(1))
+    x_plus_t = LoopMatrix({(0, 1, 0, 0): 1}) @ tpow(1)
+    assert sigma(x_plus_t) != x_plus_t
 
 
 def test_onsager_relations():

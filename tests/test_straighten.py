@@ -24,7 +24,6 @@ from onsager.straighten import (
     expand,
     expand_factor,
     expand_word,
-    integrality_check,
     lfactor,
     mdegree,
     merge_lambda_pair,
@@ -256,11 +255,12 @@ def test_mform_coordinates_bounds():
 
 
 def test_integrality_check():
-    ok, bad = integrality_check(monomial(XFactor(1, 1, 2), XFactor(-1, 1, 2)), 4, 3)
-    assert ok and not bad
+    # all denominators 1; then one that is not, by both coordinate routes
+    coords = mform_coordinates(monomial(XFactor(1, 1, 2), XFactor(-1, 1, 2)), 4, 3)
+    assert coords and all(c.denominator == 1 for c in coords.values())
     half = monomial(XFactor(1, 1, 1)).scale(Fraction(1, 2))
-    ok, bad = integrality_check(half, 2, 2)
-    assert not ok and bad
+    for coords in (mform_coordinates(half, 2, 2), coordinates(expand(half), 2, 2)):
+        assert [c for c in coords.values() if c.denominator != 1]
 
 
 @given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 2), st.integers(0, 2))
