@@ -37,6 +37,8 @@ def lambda1(a: int, b: int) -> LieElement:
     return -(h(a + b) - h(a - b))
 
 
+# Degree-one D elements, keyed by a route tag and the arguments: the two
+# routes the DU1 check compares never share an entry.
 _D1_CACHE: dict = caches.register({})
 
 
@@ -44,19 +46,23 @@ def d1_rec(sign: int, u: int, j: int, l: int) -> LieElement:
     """Degree-1 D ladder from its defining half-bracket recursion."""
     if u < 0:
         return LIE_ZERO
-    key = (sign, u, j, l)
-    if key not in _D1_CACHE:
+    key = ("rec", sign, u, j, l)
+    got = _D1_CACHE.get(key)
+    if got is None:
         if u == 0:
-            _D1_CACHE[key] = xplus(j) if sign > 0 else xminus(l)
+            got = xplus(j) if sign > 0 else xminus(l)
         else:
-            prev = d1_rec(sign, u - 1, j, l)
-            val = bracket(prev, lambda1(j, l)).scale(sign).divide(2)
-            _D1_CACHE[key] = val
-    return _D1_CACHE[key]
+            got = bracket(d1_rec(sign, u - 1, j, l), lambda1(j, l)).scale(sign).divide(2)
+        _D1_CACHE[key] = got
+    return got
 
 
 def d1_closed(sign: int, u: int, j: int, l: int) -> LieElement:
     """Degree-1 D ladder from the double-sum closed form."""
+    key = ("closed", sign, u, j, l)
+    got = _D1_CACHE.get(key)
+    if got is not None:
+        return got
     a, b = (j, l) if sign > 0 else (l, j)
     gen = xplus if sign > 0 else xminus
     terms = [((-1) ** (k + i) * binom(u, k) * binom(u + 1, i),
@@ -66,7 +72,8 @@ def d1_closed(sign: int, u: int, j: int, l: int) -> LieElement:
         terms += [((-1) ** (u // 2 + i) * binom(u, u // 2) * binom(u + 1, i),
                    gen((u + 1 - 2 * i) * a))
                   for i in range(u // 2 + 1)]
-    return LieElement.combine(terms)
+    got = _D1_CACHE[key] = LieElement.combine(terms)
+    return got
 
 
 _P_CACHE: dict = caches.register({})
@@ -224,10 +231,15 @@ def duv_series(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
 
 def d_triple(sign: int, u: int, j: int, k: int, m: int) -> LieElement:
     """Three-index D element: alternating binomial combination of x's."""
-    gen = xplus if sign > 0 else xminus
-    return LieElement.combine(((-1) ** (n + v) * binom(u, n) * binom(u, v),
-                               gen(j + (u - 2 * n) * k + (u - 2 * v) * m))
-                              for n in range(u + 1) for v in range(u + 1))
+    key = ("triple", sign, u, j, k, m)
+    got = _D1_CACHE.get(key)
+    if got is None:
+        gen = xplus if sign > 0 else xminus
+        got = _D1_CACHE[key] = LieElement.combine(
+            ((-1) ** (n + v) * binom(u, n) * binom(u, v),
+             gen(j + (u - 2 * n) * k + (u - 2 * v) * m))
+            for n in range(u + 1) for v in range(u + 1))
+    return got
 
 
 def p_via_lambda_odd(n: int, j: int, l: int) -> LieElement:

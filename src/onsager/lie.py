@@ -86,8 +86,13 @@ class LinComb:
 
     @classmethod
     def over(cls, num: dict, den: int = 1):
-        """Element ``num / den`` (``den`` > 0): zeros dropped, lowest terms."""
-        num = {k: n for k, n in num.items() if n}
+        """Element ``num / den`` (``den`` > 0): zeros dropped, lowest terms.
+
+        ``num`` becomes the element's own dict when it holds no zero and
+        no common factor, so the caller must not touch it afterwards.
+        """
+        if 0 in num.values():
+            num = {k: n for k, n in num.items() if n}
         if den != 1:
             g = math.gcd(den, *num.values())
             if g != 1:
@@ -266,23 +271,35 @@ _H_X_SCALE = 2
 
 
 def bracket_basis(a: BasisElement, b: BasisElement) -> LieElement:
-    """Structure constants on canonical basis elements."""
-    if a.kind == b.kind:
+    """Structure constants on canonical basis elements.
+
+    [x+_j, x-_l] = h_{j+l} - h_{|j-l|} and [h_k, x±_j] = ±S(x±_{j+k} +
+    x±_{j-k}) with S = ``_H_X_SCALE``, read on every call, and x_{-i} =
+    -x_i, x_0 = 0; the pair in the other order takes the opposite sign.
+    The at most two terms go straight into one numerator dict.
+    """
+    ka, kb = a.kind, b.kind
+    if ka == kb:
         return LIE_ZERO
-    if a.kind > b.kind:
-        return -bracket_basis(b, a)
-    # now a.kind < b.kind
-    if a.kind == Kind.XMINUS and b.kind == Kind.XPLUS:
-        # [x+_j, x-_l] = h_{j+l} - h_{|j-l|}
-        j, l = b.index, a.index
-        return -(h(j + l) - h(j - l))
-    if a.kind == Kind.XMINUS and b.kind == Kind.H:
-        # [h_k, x-_l] = -2(x-_{l+k} + x-_{l-k})
-        l, k = a.index, b.index
-        return _H_X_SCALE * (xminus(l + k) + xminus(l - k))
-    # a.kind == H, b.kind == XPLUS: [h_k, x+_j] = 2(x+_{j+k} + x+_{j-k})
-    k, j = a.index, b.index
-    return _H_X_SCALE * (xplus(j + k) + xplus(j - k))
+    if ka != Kind.H and kb != Kind.H:
+        j, l = (a.index, b.index) if ka == Kind.XPLUS else (b.index, a.index)
+        s = 1 if ka == Kind.XPLUS else -1
+        return LieElement._raw({BasisElement(Kind.H, j + l): s,
+                                BasisElement(Kind.H, abs(j - l)): -s}, 1)
+    # one h_k and one x: [h_k, x+] and [x-, h_k] carry +S, the others -S
+    k, x = (a.index, b) if ka == Kind.H else (b.index, a)
+    s = 1 if (ka == Kind.H) == (x.kind == Kind.XPLUS) else -1
+    scale, den = _H_X_SCALE, 1
+    if type(scale) is Fraction:
+        scale, den = scale.numerator, scale.denominator
+    s *= scale
+    kind, i = x
+    if not k:  # x_{i+0} + x_{i-0} = 2 x_i
+        return LieElement.over({x: 2 * s}, den)
+    num = {BasisElement(kind, i + k): s}
+    if i != k:  # x_0 = 0 and x_{i-k} = -x_{k-i}
+        num[BasisElement(kind, abs(i - k))] = s if i > k else -s
+    return LieElement.over(num, den)
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:

@@ -11,7 +11,7 @@ cross-checks meaningful.
 
 from __future__ import annotations
 
-from .lie import BasisElement, Kind, LieElement, LinComb, add_scaled, bracket, generator
+from .lie import BasisElement, Kind, LieElement, LinComb, add_scaled, bracket_basis
 
 
 class LaurentPoly(LinComb):
@@ -130,23 +130,24 @@ def onsager_G(l: int) -> LoopMatrix:
     return (H_SL2 @ t_minus(l)).divide(2)
 
 
+def _basis(max_index: int) -> list[BasisElement]:
+    return ([BasisElement(Kind.H, k) for k in range(max_index + 1)]
+            + [BasisElement(kind, j) for j in range(1, max_index + 1)
+               for kind in (Kind.XMINUS, Kind.XPLUS)])
+
+
 def verify_structure_constants(max_index: int):
     """Compare the abstract bracket with the matrix commutator on all
     basis pairs with indices up to ``max_index``.  Returns a list of
     failing (a, b) pairs (empty on success)."""
-    basis: list[BasisElement] = []
-    for k in range(0, max_index + 1):
-        basis.append(BasisElement(Kind.H, k))
-    for j in range(1, max_index + 1):
-        basis.append(BasisElement(Kind.XMINUS, j))
-        basis.append(BasisElement(Kind.XPLUS, j))
-
+    basis = _basis(max_index)
+    # each basis element embedded once; a bracket's indices reach 2 * max_index
+    images = {b: embed_basis(b) for b in _basis(2 * max_index)}
     failures = []
     for a in basis:
-        ea = embed_basis(a)
         for b in basis:
-            lhs = embed(bracket(generator(a.kind, a.index), generator(b.kind, b.index)))
-            rhs = matrix_bracket(ea, embed_basis(b))
-            if lhs != rhs:
+            br = bracket_basis(a, b)
+            lhs = LoopMatrix.combine(((n, images[g]) for g, n in br.num.items()), br.den)
+            if lhs != matrix_bracket(images[a], images[b]):
                 failures.append((a, b))
     return failures

@@ -216,7 +216,18 @@ def divided_x(a: LieElement, v: int) -> MForm:
     return MForm.over({word: coeff for word, coeff, _ in words}, a.den ** v)
 
 
+# The D ladders as ordered monomials and the layers they are summed from,
+# each keyed by a tag and its arguments (see caches.py).
 _DUV_MFORM: dict = caches.register({})
+
+
+def _layer(a: LieElement, v: int) -> MForm:
+    """divided_x(a, v), kept in ``_DUV_MFORM`` under the value of a."""
+    key = ("layer", a, v)
+    got = _DUV_MFORM.get(key)
+    if got is None:
+        got = _DUV_MFORM[key] = divided_x(a, v)
+    return got
 
 
 def duv_mform(sign: int, u: int, v: int, j: int, l: int) -> MForm:
@@ -229,11 +240,11 @@ def duv_mform(sign: int, u: int, v: int, j: int, l: int) -> MForm:
         return M_ZERO
     if v == 0:
         return M_ONE if u == 0 else M_ZERO
-    key = (sign, u, v, j, l)
+    key = ("duv", sign, u, v, j, l)
     got = _DUV_MFORM.get(key)
     if got is None:
         got = _DUV_MFORM[key] = ladder(
-            lambda i, k: divided_x(d1_closed(sign, i, j, l), k), u, v, M_ONE)
+            lambda i, k: _layer(d1_closed(sign, i, j, l), k), u, v, M_ONE)
     return got
 
 
@@ -268,6 +279,19 @@ def straighten_plus_minus(j: int, r: int, l: int, s: int) -> MForm:
     return MForm.combine(terms)
 
 
+def _triple_ladder(sign: int, x_index: int, k: int, m: int, weight: int, total: int) -> MForm:
+    """The ladder whose layer u is divided_x of (u+1) times the
+    three-index D element, kept in ``_DUV_MFORM``; it does not depend on
+    the Lambda order, so every order shares it."""
+    key = ("triple", sign, x_index, k, m, weight, total)
+    got = _DUV_MFORM.get(key)
+    if got is None:
+        got = _DUV_MFORM[key] = ladder(
+            lambda u, v: _layer(d_triple(sign, u, x_index, k, m).scale(u + 1), v),
+            weight, total, M_ONE)
+    return got
+
+
 def move_x_past_lambda(sign: int, x_index: int, r: int,
                        pair: tuple[int, int], n: int) -> MForm:
     """Commute a divided x power through a Lambda factor.
@@ -280,10 +304,11 @@ def move_x_past_lambda(sign: int, x_index: int, r: int,
     k, m = pair
     terms = []
     for i in range(n + 1):
-        lam = monomial(lfactor(k, m, n - i)) if n - i else M_ONE
-        inner = ladder(lambda u, v: divided_x(d_triple(sign, u, x_index, k, m).scale(u + 1), v),
-                       i, r, M_ONE)
-        terms.append((1, lam * inner if sign > 0 else inner * lam))
+        inner = _triple_ladder(sign, x_index, k, m, i, r)
+        if n - i:
+            lam = monomial(lfactor(k, m, n - i))
+            inner = lam * inner if sign > 0 else inner * lam
+        terms.append((1, inner))
     return MForm.combine(terms)
 
 

@@ -249,11 +249,13 @@ def multiply(a: UEAElement, b: UEAElement) -> UEAElement:
     for u, m in a.num.items():
         kind = u[-1].kind if u else Kind.XMINUS  # the empty word joins any word
         for v, n in nb:
-            if not v or kind <= v[0].kind:
-                terms = ((_join(u, v), 1),)
+            c = m * n
+            if not v or kind <= v[0].kind:  # one term, added in place
+                w = _join(u, v)
+                old = out.get(w)
+                out[w] = c if old is None else old + c
             else:
-                terms = _word_nf(u + v).items()
-            add_scaled(out, m * n, terms)
+                add_scaled(out, c, _word_nf(u + v).items())
     return UEAElement.over(out, a.den * b.den)
 
 

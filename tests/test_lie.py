@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from onsager import caches, lie, uea
 from onsager.lie import (
+    BasisElement,
     Kind,
     LIE_ZERO,
     bracket,
+    bracket_basis,
     generator,
     h,
     tau,
@@ -27,6 +30,50 @@ def test_bracket_table_h_x():
     assert bracket(h(2), xplus(1)) == 2 * xplus(3) + 2 * xplus(-1)
     assert bracket(h(1), xminus(2)) == -2 * xminus(3) - 2 * xminus(1)
     assert bracket(h(0), xplus(4)) == 4 * xplus(4)
+
+
+def _composed_bracket_basis(a, b):
+    """The bracket table as element arithmetic, with recursion for the
+    swapped kinds: the reference the direct table must reproduce."""
+    if a.kind == b.kind:
+        return LIE_ZERO
+    if a.kind > b.kind:
+        return -_composed_bracket_basis(b, a)
+    if a.kind == Kind.XMINUS and b.kind == Kind.XPLUS:
+        j, l = b.index, a.index
+        return -(h(j + l) - h(j - l))
+    if a.kind == Kind.XMINUS and b.kind == Kind.H:
+        l, k = a.index, b.index
+        return lie._H_X_SCALE * (xminus(l + k) + xminus(l - k))
+    k, j = a.index, b.index
+    return lie._H_X_SCALE * (xplus(j + k) + xplus(j - k))
+
+
+def test_bracket_table_matches_the_composed_definition():
+    basis = ([BasisElement(Kind.H, k) for k in range(7)]
+             + [BasisElement(kind, i) for kind in (Kind.XMINUS, Kind.XPLUS)
+                for i in range(1, 7)])
+    original = lie._H_X_SCALE
+    try:
+        for scale in (2, 3, Fraction(1, 2)):
+            lie._H_X_SCALE = scale
+            for a in basis:
+                for b in basis:
+                    got = bracket_basis(a, b)
+                    want = _composed_bracket_basis(a, b)
+                    assert type(got) is type(want) and got == want, (scale, a, b)
+            caches.clear_all()
+            # the table is read on every call, and a half-integral constant
+            # still stops the PBW swap rule
+            a, b = BasisElement(Kind.XPLUS, 1), BasisElement(Kind.H, 1)
+            if scale == Fraction(1, 2):
+                with pytest.raises(uea.NonIntegralBracket):
+                    uea._swap(a, b)
+            else:
+                assert uea._swap(a, b) == {(b, a): 1, (BasisElement(Kind.XPLUS, 2),): -scale}
+    finally:
+        lie._H_X_SCALE = original
+        caches.clear_all()
 
 
 def test_h_commute():

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from onsager.elements import binom, d_triple, duv_rec, lambda_rec
-from onsager.lie import LIE_ZERO, BasisElement, Kind, bracket_basis, h, xminus, xplus
+from onsager.elements import binom, d_triple, duv_rec, ladder, lambda_rec
+from onsager.lie import LIE_ZERO, BasisElement, Kind, LieElement, bracket_basis, h, xminus, xplus
 from onsager import caches
 from onsager.uea import UEA_ONE, UEAElement, divided_power, from_lie, multiply, pbw_normal_form
 from onsager.straighten import (
+    M_ONE,
     AmbiguousSolution,
     LFactor,
     MForm,
@@ -98,6 +99,40 @@ def test_identity8_and_9_against_pbw():
             lhs = multiply(lambda_rec(2, 1, n), divided_power(xminus(1), r))
             rhs = expand(move_x_past_lambda(-1, 1, r, (2, 1), n))
             assert lhs == rhs
+
+
+def _reference_move_x_past_lambda(sign, x_index, r, pair, n):
+    """move_x_past_lambda with nothing cached: every ladder, its layers
+    and the three-index D elements are rebuilt for each call."""
+    k, m = pair
+    gen = xplus if sign > 0 else xminus
+
+    def d3(u):
+        return LieElement.combine(((-1) ** (a + b) * binom(u, a) * binom(u, b),
+                                   gen(x_index + (u - 2 * a) * k + (u - 2 * b) * m))
+                                  for a in range(u + 1) for b in range(u + 1))
+
+    terms = []
+    for i in range(n + 1):
+        lam = monomial(lfactor(k, m, n - i)) if n - i else M_ONE
+        inner = ladder(lambda u, v: divided_x(d3(u).scale(u + 1), v), i, r, M_ONE)
+        terms.append((1, lam * inner if sign > 0 else inner * lam))
+    return MForm.combine(terms)
+
+
+def test_move_x_past_lambda_matches_the_uncached_formula():
+    grid = [(sign, x, r, (k, m), n) for sign in (1, -1) for x in range(1, 4)
+            for r in range(4) for k in range(1, 4) for m in range(1, 4) for n in range(4)]
+    want = {args: _reference_move_x_past_lambda(*args) for args in grid}
+    # each on cold caches, then in the reverse order on the ladders and
+    # layers the other arguments left behind
+    for args in grid:
+        caches.clear_all()
+        assert move_x_past_lambda(*args) == want[args], args
+    for args in grid:
+        move_x_past_lambda(*args)
+    for args in reversed(grid):
+        assert move_x_past_lambda(*args) == want[args], args
 
 
 def test_merge_lambda_pair_leading_term():

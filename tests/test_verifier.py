@@ -1,10 +1,13 @@
+import collections
 from fractions import Fraction
 import hashlib
+import sys
 
 import pytest
 
 import onsager.lie as lie
-from onsager import caches, uea, verify
+from onsager import caches, cli, elements, straighten, uea, verify
+from onsager.elements import d1_closed, d1_rec
 from onsager.lie import LinComb, bracket, xminus, xplus
 from onsager.uea import from_lie, multiply, pbw_normal_form
 from onsager.verify import (
@@ -130,6 +133,93 @@ def test_integral_corruption_makes_i7_and_realize_fail():
     finally:
         lie._H_X_SCALE = original
         caches.clear_all()
+
+
+# the default grid's failing instances per tag under the corrupted
+# constant, as the suite reports them when no rule value outlives its instance
+CORRUPTED_FAILURES = {
+    "I7": 72, "I8": 162, "I9": 162, "XKL1": 36, "XJLN": 54, "DU1": 54, "PU": 45,
+    "P2N1": 18, "P2N": 18, "PNEWD": 135, "BXP": 54, "BPD": 108, "DU1L": 108,
+    "LDP": 108, "UD": 162, "LDXM": 81, "LL": 36, "CORINT": 162, "THMAUDIT": 1,
+    "REALIZE": 1,
+}
+
+
+def test_corruption_fails_the_same_default_instances(corrupted_bracket):
+    report = run_suite(SuiteConfig())
+    assert collections.Counter(r.tag for r in report.results if not r.passed) \
+        == CORRUPTED_FAILURES
+
+
+def _default_report(capsys) -> bytes:
+    assert cli.main(["verify", "--format", "json"]) == 1
+    return capsys.readouterr().out.encode()
+
+
+def test_report_bytes_do_not_depend_on_cache_state(monkeypatch, capsys):
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    caches.clear_all()
+    cold = _default_report(capsys)
+    warm = _default_report(capsys)
+    caches.clear_all()
+    cleared = _default_report(capsys)
+    assert cold == warm == cleared
+    assert hashlib.sha256(cold).hexdigest() == \
+        "bba11c2df063c0e283bcc0b3b937e0744159e457ac045afba011c9f049d01d79"
+
+
+def test_the_two_degree_one_routes_share_no_entry():
+    # DU1 compares two values built apart, even when both are cached
+    for _ in range(2):
+        for sign in (1, -1):
+            for u in range(4):
+                rec, closed = d1_rec(sign, u, 2, 1), d1_closed(sign, u, 2, 1)
+                assert rec == closed and rec is not closed
+
+
+class _CountingCache(dict):
+    """A cache that counts how often a value is stored under each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = collections.Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+def _record_calls(monkeypatch, fn) -> collections.Counter:
+    """Count ``fn``'s calls by arguments, wherever the package binds it."""
+    calls = collections.Counter()
+
+    def recording(*args):
+        calls[args] += 1
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("onsager") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, recording)
+    return calls
+
+
+def test_rule_values_are_built_once_per_distinct_argument(monkeypatch):
+    caches.clear_all()
+    d1_cache = _CountingCache()
+    monkeypatch.setattr(elements, "_D1_CACHE", d1_cache)
+    triple_calls = _record_calls(monkeypatch, elements.d_triple)
+    closed_calls = _record_calls(monkeypatch, elements.d1_closed)
+    divided_calls = _record_calls(monkeypatch, straighten.divided_x)
+    run_suite(SuiteConfig())
+    caches.clear_all()
+
+    def evaluations(tag):
+        return sum(n for key, n in d1_cache.stores.items() if key[0] == tag)
+
+    assert evaluations("triple") == len(triple_calls) == 144
+    assert evaluations("closed") == len(closed_calls) == 99
+    # divided_x is not cached itself: each call is an evaluation
+    assert sum(divided_calls.values()) == len(divided_calls) == 240
 
 
 def test_suite_recovers_after_corruption_fixture(corrupted_bracket):
