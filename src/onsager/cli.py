@@ -4,7 +4,8 @@ Subcommands: ``normalize``, ``bracket``, ``coords``, ``verify``,
 ``audit span``, ``audit theorem``, ``realize``.  Exit codes: 0 on
 success / all-pass, 1 on identity failure or a computation that cannot
 be completed (e.g. coordinates outside the truncation), 2 on usage
-errors and on input that nests too deeply to evaluate.  All
+errors, on input that nests too deeply to evaluate and when memory runs
+out (every registered cache is then cleared).  All
 diagnostics go to standard error; reports in JSON format are
 byte-identical across runs with the same configuration.
 
@@ -14,9 +15,12 @@ file providing defaults for the verify options (``max_index``,
 
 ``main(argv)`` may be called repeatedly from one process.  Each call
 reads the config file again; the argument parser is built once per
-distinct set of config defaults, on first use, and kept.  JSON is
-written in pieces by the C encoder, with the same bytes as one
-``json.dumps(payload, sort_keys=True, separators=(",", ":"))``.
+distinct set of config defaults, on first use, and kept.  Every JSON
+reply has the bytes of one ``json.dumps(payload, sort_keys=True,
+separators=(",", ":"))``.  ``normalize`` and ``bracket`` write theirs as
+text straight from the element's numerators, with each letter's fragment
+built once (:func:`element_json_text`); the other reports are written in
+pieces by the C encoder (:func:`_emit_json`).
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import json
 import os
 import sys
 
-from . import loop
-from .lie import KIND_NAMES, bracket
+from . import caches, loop
+from .lie import KIND_NAMES, bracket, ratio_text
 from .uea import UEAElement, from_lie, pbw_normal_form
 from .expr import (
     DomainError,
@@ -59,6 +63,8 @@ ENV_CONFIG = "ONSAGER_CONFIG"
 # JSON serialization
 
 def element_to_json(u: UEAElement) -> dict:
+    """The reply payload of ``u``: the reference for :func:`element_json_text`,
+    and the form of the verify report's counterexamples."""
     words = []
     for w in u.words():
         words.append({
@@ -66,6 +72,25 @@ def element_to_json(u: UEAElement) -> dict:
             "factors": [{"kind": KIND_NAMES[b.kind], "index": b.index} for b in w],
         })
     return {"words": words}
+
+
+# {"index":i,"kind":"k"} of each letter printed so far: output text only,
+# bounded by the distinct letters, so not a registered value cache
+_LETTER_JSON: dict = {}
+
+
+def element_json_text(u: UEAElement) -> str:
+    """``element_to_json(u)`` as sorted compact JSON text and a newline,
+    written from ``num``/``den``: no dict per word or letter, no
+    ``Fraction`` and no encoder call."""
+    num, den = u.num, u.den
+    for b in set().union(*num).difference(_LETTER_JSON):
+        _LETTER_JSON[b] = f'{{"index":{b.index},"kind":"{KIND_NAMES[b.kind]}"}}'
+    letter = _LETTER_JSON.__getitem__
+    words = ",".join(
+        f'{{"coeff":"{ratio_text(num[w], den)}","factors":[{",".join(map(letter, w))}]}}'
+        for w in u.words())
+    return f'{{"words":[{words}]}}\n'
 
 
 def report_to_json(report: SuiteReport) -> dict:
@@ -169,7 +194,7 @@ def _eval_arg(text: str) -> UEAElement:
 def cmd_normalize(args) -> int:
     nf = pbw_normal_form(_eval_arg(args.expr))
     if args.format == "json":
-        _emit_json(element_to_json(nf))
+        sys.stdout.write(element_json_text(nf))
     else:
         print(nf)
     return 0
@@ -178,7 +203,7 @@ def cmd_normalize(args) -> int:
 def cmd_bracket(args) -> int:
     out = from_lie(bracket(as_lie(_eval_arg(args.left)), as_lie(_eval_arg(args.right))))
     if args.format == "json":
-        _emit_json(element_to_json(out))
+        sys.stdout.write(element_json_text(out))
     else:
         print(out)
     return 0
@@ -379,6 +404,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RecursionError:
         print("error: input nests too deeply to evaluate", file=sys.stderr)
+        return 2
+    except MemoryError:
+        caches.clear_all()  # so a warm process can answer its next request
+        print("error: out of memory; the value is too large to compute", file=sys.stderr)
         return 2
 
 

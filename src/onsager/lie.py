@@ -199,24 +199,33 @@ class LinComb:
         """Surface syntax that ``expr.parse`` reads back, e.g.
         ``-h(0) + 1/2*xm(1)*xp(1)``: terms in the subclass's ``_ordered``
         key order, keys printed by its ``_show_key``, the empty key as a
-        plain constant and unit coefficients left out."""
-        if not self.coeffs:
+        plain constant and unit coefficients left out.  Coefficients are
+        written from ``num``/``den`` by :func:`ratio_text`."""
+        num, den = self.num, self.den
+        if not num:
             return "0"
         parts = []
         for k in self._ordered():
-            c = self.coeffs[k]
-            a = abs(c)
+            n = num[k]
+            a = abs(n)
             if not k:
-                body = str(a)
-            elif a == 1:
+                body = ratio_text(a, den)
+            elif a == den:  # lowest terms: a unit coefficient
                 body = self._show_key(k)
             else:
-                body = f"{a}*{self._show_key(k)}"
+                body = f"{ratio_text(a, den)}*{self._show_key(k)}"
             if parts:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
             else:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
         return " ".join(parts)
+
+
+def ratio_text(n: int, den: int) -> str:
+    """``str(Fraction(n, den))`` for ``den`` > 0, from one gcd and no
+    ``Fraction``: the coefficient text of the printer and the JSON writer."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def basis_to_text(b: BasisElement) -> str:

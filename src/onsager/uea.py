@@ -39,8 +39,9 @@ class UEAElement(LinComb):
         return self.scale(other)
 
     def words(self) -> list[Word]:
-        """Support in graded-lexicographic order (length, then entries)."""
-        return sorted(self.num, key=lambda w: (len(w), w))
+        """Support in graded-lexicographic order (length, then entries):
+        sorted by entries, then stably by length, with no key per word."""
+        return sorted(sorted(self.num), key=len)
 
     _ordered = words
 

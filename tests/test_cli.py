@@ -27,7 +27,7 @@ from onsager.expr import (
     evaluate,
     parse,
 )
-from onsager.lie import h, xminus, xplus
+from onsager.lie import BasisElement, Kind, h, xminus, xplus
 from onsager.straighten import (
     XFactor,
     duv_mform,
@@ -37,7 +37,7 @@ from onsager.straighten import (
     monomial,
     normalize_to_basis,
 )
-from onsager.uea import pbw_normal_form
+from onsager.uea import UEAElement, pbw_normal_form
 from onsager.verify import InstanceResult, SuiteConfig, SuiteReport
 
 
@@ -411,8 +411,6 @@ def test_emit_json_matches_one_dumps(monkeypatch, capsys):
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_emit_json", payloads.append)
         for argv in (
-            ["normalize", "h(1)-h(1)"],
-            ["normalize", "dp(xp(3),3)*lam(3,3,3)*dp(xm(3),2)"],
             ["audit", "span", "--parity", "even", "--cutoff", "6"],
             ["audit", "theorem", "--mdegree", "1", "--index", "1"],
             ["audit", "theorem", "--mdegree", "2", "--index", "2"],
@@ -420,9 +418,17 @@ def test_emit_json_matches_one_dumps(monkeypatch, capsys):
             ["coords", "xp(1)*xm(1)", "--mdegree", "2", "--index", "1"],
         ):
             assert main(argv + ["--format", "json"]) == 0, argv
-    assert payloads[0] == {"words": []}
-    assert len(payloads[1]["words"]) > 100
-    assert payloads[3]["collisions"] == [] and payloads[5]["coordinates"] == []
+    assert payloads[1]["collisions"] == [] and payloads[3]["coordinates"] == []
+    # normalize writes its reply as text; it is the dumps of element_to_json
+    elements = []
+    for expr in ("h(1)-h(1)", "dp(xp(3),3)*lam(3,3,3)*dp(xm(3),2)"):
+        assert main(["normalize", expr, "--format", "json"]) == 0, expr
+        elements.append(cli.element_to_json(pbw_normal_form(evaluate(parse(expr)))))
+        assert capsys.readouterr().out == json.dumps(
+            elements[-1], sort_keys=True, separators=(",", ":")) + "\n"
+    assert elements[0] == {"words": []}
+    assert len(elements[1]["words"]) > 100
+    payloads += elements
     report = SuiteReport(SuiteConfig(max_index=1, max_order=1, tags=("I5", "I6")), [
         InstanceResult("I5", {"j": 1}, True, None, 0.5),
         InstanceResult("I6", {"j": 1, "sign": -1}, False,
@@ -435,6 +441,63 @@ def test_emit_json_matches_one_dumps(monkeypatch, capsys):
         cli._emit_json(payload)
         assert capsys.readouterr().out == json.dumps(
             payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _old_repr(u):
+    """``LinComb.__repr__`` as it was written on the ``Fraction`` view."""
+    if not u.coeffs:
+        return "0"
+    parts = []
+    for k in u._ordered():
+        c = u.coeffs[k]
+        a = abs(c)
+        body = str(a) if not k else u._show_key(k) if a == 1 else f"{a}*{u._show_key(k)}"
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts)
+
+
+_LETTERS = st.one_of(
+    st.builds(BasisElement, st.just(Kind.H), st.integers(0, 12)),
+    st.builds(BasisElement, st.sampled_from((Kind.XMINUS, Kind.XPLUS)), st.integers(1, 12)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.lists(_LETTERS, max_size=5).map(tuple),
+                       st.integers(-40, 40), max_size=12),
+       st.integers(1, 12))
+def test_element_json_text_matches_dumps(num, den):
+    """Words over all three kinds, the empty word among them, with negative
+    numerators and denominators that often reduce a coefficient to an int."""
+    u = UEAElement.over(num, den)
+    assert cli.element_json_text(u) == json.dumps(
+        cli.element_to_json(u), sort_keys=True, separators=(",", ":")) + "\n"
+    assert u.words() == sorted(u.num, key=lambda w: (len(w), w))
+    assert repr(u) == _old_repr(u)
+
+
+def test_memory_error_exits_2_and_clears_caches(monkeypatch, capsys):
+    def exhausted(_):
+        raise MemoryError
+
+    assert main(["normalize", "xp(2)*xm(1)"]) == 0
+    assert any(caches._REGISTRY)
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "pbw_normal_form", exhausted)
+        assert main(["normalize", "xp(1)*xm(1)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: out of memory") and "Traceback" not in err
+    assert not any(caches._REGISTRY)
+    # the process answers its next request as a fresh one would
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+    want = next(c for c in golden if c["argv"] == ["normalize", "xp(1)*xm(1)"])
+    assert main(["normalize", "xp(1)*xm(1)"]) == want["exit"]
+    assert capsys.readouterr() == (want["stdout"], want["stderr"])
 
 
 # ---------------------------------------------------------------------------

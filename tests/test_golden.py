@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from onsager import cli
 from onsager.cli import main
 
 CORPUS = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
@@ -39,3 +40,21 @@ def test_golden_cli_warm_reuse(monkeypatch):
                 code = main(case["argv"])
             assert (code, out.getvalue(), err.getvalue()) == \
                 (case["exit"], case["stdout"], case["stderr"]), case["argv"]
+
+
+def test_element_replies_bypass_the_dict_writer(monkeypatch):
+    """normalize and bracket JSON replies are written as text from the
+    numerators: with element_to_json broken they keep their golden bytes."""
+    def broken(_):
+        raise AssertionError("element reply built as a dict")
+
+    monkeypatch.delenv("ONSAGER_CONFIG", raising=False)
+    monkeypatch.setattr(cli, "element_to_json", broken)
+    cases = [case for case in CORPUS if case["argv"][0] in ("normalize", "bracket")
+             and "json" in case["argv"] and case["exit"] == 0]
+    assert len(cases) >= 6
+    for case in cases:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(case["argv"])
+        assert (code, out.getvalue(), err.getvalue()) == (0, case["stdout"], ""), case["argv"]
