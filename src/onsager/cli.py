@@ -5,8 +5,10 @@ Subcommands: ``normalize``, ``bracket``, ``coords``, ``verify``,
 success / all-pass, 1 on identity failure or a computation that cannot
 be completed (e.g. coordinates outside the truncation), 2 on usage
 errors, on input that nests too deeply to evaluate and when memory runs
-out (every registered cache is then cleared).  All
-diagnostics go to standard error; reports in JSON format are
+out (every registered cache is then cleared).  A reader that closes
+standard output early (``onsager normalize ... | head``) gets exit 1 and
+no traceback: the rest of the output is dropped.  All diagnostics go to
+standard error; reports in JSON format are
 byte-identical across runs with the same configuration.
 
 The environment variable ``ONSAGER_CONFIG`` may point to a key=value
@@ -392,7 +394,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ExprSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2

@@ -37,32 +37,32 @@ def lambda1(a: int, b: int) -> LieElement:
     return -(h(a + b) - h(a - b))
 
 
-# Degree-one D elements, keyed by a route tag and the arguments: the two
-# routes the DU1 check compares never share an entry.
+# Degree-one D elements, kept under a route tag and the arguments: the
+# two routes the DU1 check compares never share an entry.
 _D1_CACHE: dict = caches.register({})
 
 
+@caches.memoized(_D1_CACHE, "rec")
 def d1_rec(sign: int, u: int, j: int, l: int) -> LieElement:
-    """Degree-1 D ladder from its defining half-bracket recursion."""
+    """Degree-1 D ladder from its defining half-bracket recursion
+    D_{u,1} = (sign/2) [D_{u-1,1}, Lambda_{j,l,1}].
+
+    The levels below u are built first, lowest first, so each is one
+    half-bracket of the kept level below it and no call nests more than
+    one deep.
+    """
     if u < 0:
         return LIE_ZERO
-    key = ("rec", sign, u, j, l)
-    got = _D1_CACHE.get(key)
-    if got is None:
-        if u == 0:
-            got = xplus(j) if sign > 0 else xminus(l)
-        else:
-            got = bracket(d1_rec(sign, u - 1, j, l), lambda1(j, l)).scale(sign).divide(2)
-        _D1_CACHE[key] = got
-    return got
+    if u == 0:
+        return xplus(j) if sign > 0 else xminus(l)
+    for i in range(u - 1):
+        d1_rec(sign, i, j, l)
+    return bracket(d1_rec(sign, u - 1, j, l), lambda1(j, l)).scale(sign).divide(2)
 
 
+@caches.memoized(_D1_CACHE, "closed")
 def d1_closed(sign: int, u: int, j: int, l: int) -> LieElement:
     """Degree-1 D ladder from the double-sum closed form."""
-    key = ("closed", sign, u, j, l)
-    got = _D1_CACHE.get(key)
-    if got is not None:
-        return got
     a, b = (j, l) if sign > 0 else (l, j)
     gen = xplus if sign > 0 else xminus
     terms = [((-1) ** (k + i) * binom(u, k) * binom(u + 1, i),
@@ -72,19 +72,16 @@ def d1_closed(sign: int, u: int, j: int, l: int) -> LieElement:
         terms += [((-1) ** (u // 2 + i) * binom(u, u // 2) * binom(u + 1, i),
                    gen((u + 1 - 2 * i) * a))
                   for i in range(u // 2 + 1)]
-    got = _D1_CACHE[key] = LieElement.combine(terms)
-    return got
+    return LieElement.combine(terms)
 
 
 _P_CACHE: dict = caches.register({})
 
 
+@caches.memoized(_P_CACHE)
 def p_def(k: int, j: int, l: int) -> LieElement:
     """p_k(j,l) = [x+_j, D-_{k-1,1}(j,l)]."""
-    key = (k, j, l)
-    if key not in _P_CACHE:
-        _P_CACHE[key] = bracket(xplus(j), d1_rec(-1, k - 1, j, l))
-    return _P_CACHE[key]
+    return bracket(xplus(j), d1_rec(-1, k - 1, j, l))
 
 
 def p_closed(u: int, j: int, l: int) -> LieElement:
@@ -113,6 +110,7 @@ def bracket_x_lambda1(k: int, j: int, l: int) -> LieElement:
 _LAMBDA_CACHE: dict = caches.register({})
 
 
+@caches.memoized(_LAMBDA_CACHE)
 def lambda_rec(j: int, l: int, k: int) -> UEAElement:
     """Lambda element of order k, by Newton's identity
     k*Lambda_k = -sum_{i=1..k} p_i Lambda_{k-i}.
@@ -120,18 +118,15 @@ def lambda_rec(j: int, l: int, k: int) -> UEAElement:
     Lambda is 0 for k < 0 and 1 for k = 0.  Values live in the
     commutative h-subalgebra and are kept with sorted words; k! Lambda_k
     has integer coefficients, so the stored denominator divides k!.
+    It recurses on k, so its order is bounded by the interpreter stack.
     """
     if k < 0:
         return UEA_ZERO
     if k == 0:
         return UEA_ONE
-    key = (j, l, k)
-    got = _LAMBDA_CACHE.get(key)
-    if got is None:
-        got = _LAMBDA_CACHE[key] = UEAElement.combine(
-            ((-1, multiply(from_lie(p_def(i, j, l)), lambda_rec(j, l, k - i)))
-             for i in range(1, k + 1)), k)
-    return got
+    return UEAElement.combine(
+        ((-1, multiply(from_lie(p_def(i, j, l)), lambda_rec(j, l, k - i)))
+         for i in range(1, k + 1)), k)
 
 
 def _powers(s: list[UEAElement], n: int, top: int) -> list[list[UEAElement]]:
@@ -166,18 +161,23 @@ def lambda_series(j: int, l: int, k: int) -> UEAElement:
 _DUV_CACHE: dict = caches.register({})
 
 
+@caches.memoized(_DUV_CACHE)
 def duv_rec(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
-    """D_{u,v} by the 1/v convolution recursion."""
+    """D_{u,v} by the 1/v convolution recursion.
+
+    The levels below v are built first, lowest first, so each value they
+    read is already kept and no call nests more than one deep.
+    """
     if v < 0:
         return UEA_ZERO
     if v == 0:
         return UEA_ONE if u == 0 else UEA_ZERO
-    key = (sign, u, v, j, l)
-    if key not in _DUV_CACHE:
-        _DUV_CACHE[key] = UEAElement.combine(
-            ((1, multiply(from_lie(d1_rec(sign, i, j, l)), duv_rec(sign, u - i, v - 1, j, l)))
-             for i in range(u + 1)), v)
-    return _DUV_CACHE[key]
+    for w in range(1, v):
+        for t in range(u + 1):
+            duv_rec(sign, t, w, j, l)
+    return UEAElement.combine(
+        ((1, multiply(from_lie(d1_rec(sign, i, j, l)), duv_rec(sign, u - i, v - 1, j, l)))
+         for i in range(u + 1)), v)
 
 
 def exponent_tuples(weight: int, total: int) -> list[tuple[int, ...]]:
@@ -229,17 +229,14 @@ def duv_series(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
     return _powers(poly, v, u + v)[v][u + v].divide(math.factorial(v))
 
 
+@caches.memoized(_D1_CACHE, "triple")
 def d_triple(sign: int, u: int, j: int, k: int, m: int) -> LieElement:
     """Three-index D element: alternating binomial combination of x's."""
-    key = ("triple", sign, u, j, k, m)
-    got = _D1_CACHE.get(key)
-    if got is None:
-        gen = xplus if sign > 0 else xminus
-        got = _D1_CACHE[key] = LieElement.combine(
-            ((-1) ** (n + v) * binom(u, n) * binom(u, v),
-             gen(j + (u - 2 * n) * k + (u - 2 * v) * m))
-            for n in range(u + 1) for v in range(u + 1))
-    return got
+    gen = xplus if sign > 0 else xminus
+    return LieElement.combine(
+        ((-1) ** (n + v) * binom(u, n) * binom(u, v),
+         gen(j + (u - 2 * n) * k + (u - 2 * v) * m))
+        for n in range(u + 1) for v in range(u + 1))
 
 
 def p_via_lambda_odd(n: int, j: int, l: int) -> LieElement:

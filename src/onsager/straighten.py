@@ -100,9 +100,10 @@ def mdegree(word: MWord) -> int:
     return sum(f.order for f in word)
 
 
-def word_key(word: MWord):
-    """Total order on factor words, for deterministic output."""
-    return tuple(f.slot + (f.order,) for f in word)
+def word_key(word: MWord) -> tuple:
+    """The monomial order, for deterministic output: mdegree, then
+    length, then the factors' slots and orders."""
+    return mdegree(word), len(word), tuple(f.slot + (f.order,) for f in word)
 
 
 def monomial_to_text(word: MWord) -> str:
@@ -127,7 +128,7 @@ class MForm(LinComb):
     __mul__ = LinComb.convolve
 
     def words(self) -> list[MWord]:
-        return sorted(self.num, key=lambda w: (mdegree(w), len(w), word_key(w)))
+        return sorted(self.num, key=word_key)
 
     _ordered = words
     _show_key = staticmethod(monomial_to_text)
@@ -148,17 +149,11 @@ _FACTOR_EXPAND: dict = caches.register({})
 _WORD_EXPAND: dict = caches.register({})
 
 
+@caches.memoized(_FACTOR_EXPAND)
 def expand_factor(f: Factor) -> UEAElement:
-    got = _FACTOR_EXPAND.get(f)
-    if got is not None:
-        return got
     if isinstance(f, LFactor):
-        val = lambda_rec(f.j, f.l, f.order)
-    else:
-        gen = xplus(f.index) if f.sign > 0 else xminus(f.index)
-        val = divided_power(gen, f.order)
-    _FACTOR_EXPAND[f] = val
-    return val
+        return lambda_rec(f.j, f.l, f.order)
+    return divided_power(xplus(f.index) if f.sign > 0 else xminus(f.index), f.order)
 
 
 def expand_word(w: MWord) -> UEAElement:
@@ -217,19 +212,18 @@ def divided_x(a: LieElement, v: int) -> MForm:
 
 
 # The D ladders as ordered monomials and the layers they are summed from,
-# each keyed by a tag and its arguments (see caches.py).
+# each kept under a tag and its arguments.
 _DUV_MFORM: dict = caches.register({})
 
 
+@caches.memoized(_DUV_MFORM, "layer")
 def _layer(a: LieElement, v: int) -> MForm:
-    """divided_x(a, v), kept in ``_DUV_MFORM`` under the value of a."""
-    key = ("layer", a, v)
-    got = _DUV_MFORM.get(key)
-    if got is None:
-        got = _DUV_MFORM[key] = divided_x(a, v)
-    return got
+    """divided_x(a, v), kept under the value of a, which both kinds of
+    ladder are summed from."""
+    return divided_x(a, v)
 
 
+@caches.memoized(_DUV_MFORM, "duv")
 def duv_mform(sign: int, u: int, v: int, j: int, l: int) -> MForm:
     """D_{u,v} expanded into divided powers of single generators.
 
@@ -240,12 +234,7 @@ def duv_mform(sign: int, u: int, v: int, j: int, l: int) -> MForm:
         return M_ZERO
     if v == 0:
         return M_ONE if u == 0 else M_ZERO
-    key = ("duv", sign, u, v, j, l)
-    got = _DUV_MFORM.get(key)
-    if got is None:
-        got = _DUV_MFORM[key] = ladder(
-            lambda i, k: _layer(d1_closed(sign, i, j, l), k), u, v, M_ONE)
-    return got
+    return ladder(lambda i, k: _layer(d1_closed(sign, i, j, l), k), u, v, M_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +268,13 @@ def straighten_plus_minus(j: int, r: int, l: int, s: int) -> MForm:
     return MForm.combine(terms)
 
 
+@caches.memoized(_DUV_MFORM, "triple")
 def _triple_ladder(sign: int, x_index: int, k: int, m: int, weight: int, total: int) -> MForm:
     """The ladder whose layer u is divided_x of (u+1) times the
-    three-index D element, kept in ``_DUV_MFORM``; it does not depend on
-    the Lambda order, so every order shares it."""
-    key = ("triple", sign, x_index, k, m, weight, total)
-    got = _DUV_MFORM.get(key)
-    if got is None:
-        got = _DUV_MFORM[key] = ladder(
-            lambda u, v: _layer(d_triple(sign, u, x_index, k, m).scale(u + 1), v),
-            weight, total, M_ONE)
-    return got
+    three-index D element; it does not depend on the Lambda order, so
+    every order shares it."""
+    return ladder(lambda u, v: _layer(d_triple(sign, u, x_index, k, m).scale(u + 1), v),
+                  weight, total, M_ONE)
 
 
 def move_x_past_lambda(sign: int, x_index: int, r: int,
@@ -381,18 +366,18 @@ def _chain_correction(remainder: UEAElement) -> dict:
     return out
 
 
-def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
-    key = (max(j, l), min(j, l), k, m)
-    got = _MERGE_CACHE.get(key)
-    if got is not None:
-        return got
+@caches.memoized(_MERGE_CACHE)
+def _merge_canonical(j: int, l: int, k: int, m: int) -> MForm:
+    """L_{j,l,k} L_{j,l,m} in ordered monomials, for j >= l."""
     lead = lfactor(j, l, k + m)
     lead_coeff = binom(k + m, k)
     remainder = (expand_word((lfactor(j, l, k), lfactor(j, l, m)))
                  - expand_factor(lead).scale(lead_coeff))
-    out = monomial(lead).scale(lead_coeff) + MForm(_chain_correction(remainder))
-    _MERGE_CACHE[key] = out
-    return out
+    return monomial(lead).scale(lead_coeff) + MForm(_chain_correction(remainder))
+
+
+def merge_lambda_pair(j: int, l: int, k: int, m: int) -> MForm:
+    return _merge_canonical(max(j, l), min(j, l), k, m)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +443,7 @@ def enumerate_basis(max_mdegree: int, max_index: int) -> list[MWord]:
     for slot in slots:
         partial = [(word + (slot(order),) if order else word, budget - order)
                    for word, budget in partial for order in range(budget + 1)]
-    return sorted((word for word, _ in partial),
-                  key=lambda w: (mdegree(w), len(w), word_key(w)))
+    return sorted((word for word, _ in partial), key=word_key)
 
 
 def _within_bounds(word: MWord, max_mdegree: int, max_index: int) -> bool:

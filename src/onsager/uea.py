@@ -128,16 +128,9 @@ def _swap(a: BasisElement, b: BasisElement) -> dict:
     return {(b, a): 1, **{(g,): c for g, c in br.num.items()}}
 
 
-def _cached_swap(a: BasisElement, b: BasisElement) -> dict:
-    """:func:`_swap` memoized in ``_NF_CACHE``.
-
-    For a > b the ascent ba and single letters are normal, so ba + [a,b]
-    is the normal form of the word ab and is stored under it.
-    """
-    got = _NF_CACHE.get((a, b))
-    if got is None:
-        got = _NF_CACHE[a, b] = _swap(a, b)
-    return got
+# For a > b the ascent ba and single letters are normal, so ba + [a,b]
+# is the normal form of the word ab and is kept under it.
+_cached_swap = caches.memoized(_NF_CACHE)(_swap)
 
 
 def _join(head: Word, tail: Word) -> Word:

@@ -299,9 +299,15 @@ def test_syntax_error_exit_code(capsys):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
     # inputs that nest beyond the interpreter stack: a message and exit 2
-    for expr in ("lam(1,1,1100)", "duv(+,0,1100,1,1)", "(" * 1200 + "h(1)" + ")" * 1200):
+    for expr in ("lam(1,1,1100)", "(" * 1200 + "h(1)" + ")" * 1200):
         assert main(["normalize", expr]) == 2
         assert capsys.readouterr().err == "error: input nests too deeply to evaluate\n"
+    # a high D ladder does not nest: D_{0,v} is the v-th divided power of x+_j
+    replies = []
+    for expr in ("duv(+,0,1100,1,1)", "dp(xp(1),1100)"):
+        assert main(["normalize", expr]) == 0, expr
+        replies.append(capsys.readouterr().out)
+    assert replies[0] == replies[1] and replies[0].startswith("1/")
     # flat sums and products do not nest
     assert main(["normalize", "+".join(["h(1)"] * 3000)]) == 0
     assert capsys.readouterr().out == "3000*h(1)\n"
@@ -396,6 +402,42 @@ def test_parser_built_once_per_config(tmp_path, monkeypatch, capsys):
     assert main(["verify"]) == 2
     assert capsys.readouterr().err.startswith("error: malformed line")
     assert len(built) == 4
+
+
+@pytest.mark.parametrize("expr", ["xp(1)", "dp(xp(1),1100)"])
+def test_closed_stdout_exits_1_without_traceback(expr):
+    # the pipe's reader is gone before the child writes: a short reply
+    # fails at the final flush, a long one inside the command itself
+    src = Path(cli.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "onsager.cli", "normalize", expr],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # memo keys include element values and dicts keep insertion order, so
+    # a seed-dependent iteration order would show in the report bytes
+    src = Path(cli.__file__).resolve().parents[1]
+    runs = {}
+    for seed in ("0", "1", "12345"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        env.pop(cli.ENV_CONFIG, None)
+        for argv in (("verify", "--max-index", "2", "--max-order", "2"),
+                     ("audit", "theorem", "--mdegree", "3", "--index", "3")):
+            proc = subprocess.run([sys.executable, "-m", "onsager.cli", *argv,
+                                   "--format", "json"],
+                                  capture_output=True, env=env, timeout=300)
+            runs.setdefault(argv, set()).add((proc.returncode, proc.stdout))
+    assert all(len(outs) == 1 for outs in runs.values())
+    (code, out), = runs["audit", "theorem", "--mdegree", "3", "--index", "3"]
+    assert code == 0 and hashlib.sha256(out).hexdigest() == (
+        "2501ab22a0034b4594f973d29e8ff2224d16f4c098e5366a46bcd295a4014175")
 
 
 def test_no_parser_built_at_import():

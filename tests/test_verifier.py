@@ -177,18 +177,6 @@ def test_the_two_degree_one_routes_share_no_entry():
                 assert rec == closed and rec is not closed
 
 
-class _CountingCache(dict):
-    """A cache that counts how often a value is stored under each key."""
-
-    def __init__(self):
-        super().__init__()
-        self.stores = collections.Counter()
-
-    def __setitem__(self, key, value):
-        self.stores[key] += 1
-        super().__setitem__(key, value)
-
-
 def _record_calls(monkeypatch, fn) -> collections.Counter:
     """Count ``fn``'s calls by arguments, wherever the package binds it."""
     calls = collections.Counter()
@@ -203,23 +191,53 @@ def _record_calls(monkeypatch, fn) -> collections.Counter:
     return calls
 
 
+def test_memoized_builds_each_key_once(monkeypatch):
+    monkeypatch.setattr(caches, "_REGISTRY", [])
+    shared = caches.register({})
+    built = collections.Counter()
+
+    def family(tag):
+        @caches.memoized(shared, tag)
+        def value(a, b):
+            """a toy family"""
+            built[tag, a, b] += 1
+            return [tag, a, b]
+        return value
+
+    first, second = family("first"), family("second")
+    plain_cache = caches.register({})
+    plain = caches.memoized(plain_cache)(lambda a, b: [a + b])
+    kept = first(1, 2)
+    for _ in range(3):
+        assert first(1, 2) is kept and second(1, 2) is second(1, 2)
+        assert first(2, 1) == ["first", 2, 1] and plain(1, 2) is plain(1, 2)
+    # tags keep the two families apart in one dict; no tag keys the arguments
+    assert shared == {("first", 1, 2): kept, ("first", 2, 1): ["first", 2, 1],
+                      ("second", 1, 2): ["second", 1, 2]}
+    assert plain_cache == {(1, 2): [3]}
+    assert set(built.values()) == {1}
+    assert first.__name__ == "value" and first.__doc__ == "a toy family"
+    caches.clear_all()
+    assert not shared and not plain_cache
+    assert first(1, 2) == kept and first(1, 2) is not kept and built["first", 1, 2] == 2
+
+
 def test_rule_values_are_built_once_per_distinct_argument(monkeypatch):
     caches.clear_all()
-    d1_cache = _CountingCache()
-    monkeypatch.setattr(elements, "_D1_CACHE", d1_cache)
     triple_calls = _record_calls(monkeypatch, elements.d_triple)
     closed_calls = _record_calls(monkeypatch, elements.d1_closed)
     divided_calls = _record_calls(monkeypatch, straighten.divided_x)
     run_suite(SuiteConfig())
+    # memoized builds once per key (test_memoized_builds_each_key_once), so
+    # the entries kept under a tag are the evaluations of its family
+    entries = collections.Counter(key[0] for key in elements._D1_CACHE)
+    layers = sum(key[0] == "layer" for key in straighten._DUV_MFORM)
     caches.clear_all()
 
-    def evaluations(tag):
-        return sum(n for key, n in d1_cache.stores.items() if key[0] == tag)
-
-    assert evaluations("triple") == len(triple_calls) == 144
-    assert evaluations("closed") == len(closed_calls) == 99
-    # divided_x is not cached itself: each call is an evaluation
-    assert sum(divided_calls.values()) == len(divided_calls) == 240
+    assert entries["triple"] == len(triple_calls) == 144
+    assert entries["closed"] == len(closed_calls) == 99
+    # divided_x is not cached itself: each call is an evaluation, one per layer
+    assert sum(divided_calls.values()) == len(divided_calls) == layers == 240
 
 
 def test_suite_recovers_after_corruption_fixture(corrupted_bracket):
