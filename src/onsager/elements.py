@@ -4,6 +4,9 @@ Each family (power-sum elements p, the Lambda series, the D ladders) is
 implemented at least twice: once from its defining recursion and once
 from a closed form or generating series.  The verifier and the test
 suite hold the paths against each other exactly.  Values are normal forms.
+The closed forms are products of P_n(a) = (t^a - t^-a)^n read through the
+loop realization x_k -> x (t^k - t^-k), h_k -> h (t^k + t^-k): generator
+index normalization folds each exponent e onto -e.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 
 from . import caches
-from .lie import LIE_ZERO, LieElement, bracket, h, xminus, xplus
+from .lie import LIE_ZERO, LieElement, LinComb, add_scaled, bracket, h, xminus, xplus
 from .uea import (
     UEA_ONE,
     UEA_ZERO,
@@ -26,6 +29,17 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def laurent_power(a: int, n: int) -> LinComb:
+    """P_n(a) = (t^a - t^-a)^n as {exponent: coefficient}; 0 for n < 0."""
+    return LinComb.over(add_scaled({}, 1, (((n - 2 * i) * a, (-1) ** i * math.comb(n, i))
+                                           for i in range(n + 1))))
+
+
+def read_laurent(gen, poly: LinComb, den: int = 1) -> LieElement:
+    """sum c_e gen(e) / den over the terms c_e t^e of ``poly``."""
+    return LieElement.combine(((c, gen(e)) for e, c in poly.num.items()), poly.den * den)
 
 
 def lambda1(a: int, b: int) -> LieElement:
@@ -62,17 +76,10 @@ def d1_rec(sign: int, u: int, j: int, l: int) -> LieElement:
 
 @caches.memoized(_D1_CACHE, "closed")
 def d1_closed(sign: int, u: int, j: int, l: int) -> LieElement:
-    """Degree-1 D ladder from the double-sum closed form."""
+    """Degree-1 D ladder 1/2 x(P_{u+1}(a) P_u(b)), (a, b) = (j, l) or (l, j) by sign."""
     a, b = (j, l) if sign > 0 else (l, j)
     gen = xplus if sign > 0 else xminus
-    terms = [((-1) ** (k + i) * binom(u, k) * binom(u + 1, i),
-              gen((u + 1 - 2 * i) * a + (u - 2 * k) * b))
-             for k in range((u - 1) // 2 + 1) for i in range(u + 2)]
-    if (u + 1) % 2 == 1:  # u even: self-paired middle column
-        terms += [((-1) ** (u // 2 + i) * binom(u, u // 2) * binom(u + 1, i),
-                   gen((u + 1 - 2 * i) * a))
-                  for i in range(u // 2 + 1)]
-    return LieElement.combine(terms)
+    return read_laurent(gen, laurent_power(a, u + 1).convolve(laurent_power(b, u)), 2)
 
 
 _P_CACHE: dict = caches.register({})
@@ -85,15 +92,10 @@ def p_def(k: int, j: int, l: int) -> LieElement:
 
 
 def p_closed(u: int, j: int, l: int) -> LieElement:
-    """p_u(j,l) as an explicit integer combination of h's."""
-    terms = [((-1) ** (k + i) * binom(u, k) * binom(u, i),
-              h((u - 2 * i) * j + (u - 2 * k) * l))
-             for k in range((u - 1) // 2 + 1) for i in range(u + 1)]
-    if (u + 1) % 2 == 1:  # u even
-        terms += [((-1) ** (u // 2 + i) * binom(u - 1, (u - 2) // 2) * binom(u, i),
-                   h((u - 2 * i) * j))
-                  for i in range(u + 1)]
-    return LieElement.combine(terms)
+    """p_u(j,l) = 1/2 h(P_u(j) P_u(l)) for u >= 1; p_0 = 0, as D_{-1,1} = 0."""
+    if u < 1:
+        return LIE_ZERO
+    return read_laurent(h, laurent_power(j, u).convolve(laurent_power(l, u)), 2)
 
 
 def bracket_x_lambda1(k: int, j: int, l: int) -> LieElement:
@@ -231,12 +233,9 @@ def duv_series(sign: int, u: int, v: int, j: int, l: int) -> UEAElement:
 
 @caches.memoized(_D1_CACHE, "triple")
 def d_triple(sign: int, u: int, j: int, k: int, m: int) -> LieElement:
-    """Three-index D element: alternating binomial combination of x's."""
-    gen = xplus if sign > 0 else xminus
-    return LieElement.combine(
-        ((-1) ** (n + v) * binom(u, n) * binom(u, v),
-         gen(j + (u - 2 * n) * k + (u - 2 * v) * m))
-        for n in range(u + 1) for v in range(u + 1))
+    """Three-index D element x(t^j P_u(k) P_u(m))."""
+    poly = LinComb({j: 1}).convolve(laurent_power(k, u)).convolve(laurent_power(m, u))
+    return read_laurent(xplus if sign > 0 else xminus, poly)
 
 
 def p_via_lambda_odd(n: int, j: int, l: int) -> LieElement:

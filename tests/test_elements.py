@@ -39,7 +39,7 @@ def test_p_spot_value():
 
 
 def test_p_dual_paths():
-    for u in range(1, 7):
+    for u in range(0, 7):
         for j in range(1, 5):
             for l in range(1, 5):
                 assert p_def(u, j, l) == p_closed(u, j, l)
@@ -144,10 +144,34 @@ def test_exponent_tuples():
 
 
 def test_d_triple_closed_form():
-    # single alternating double sum over raising/lowering generators
-    d = d_triple(1, 1, 2, 1, 1)
-    assert d == (xplus(4) - 2 * xplus(2) + xplus(0)
-                 + xplus(2) - 2 * xplus(0) + xplus(-2)) or not d.is_zero
+    # x(t^j (t^k - t^-k)^u (t^m - t^-m)^u), read with x_-e = -x_e and x_0 = 0
+    assert d_triple(1, 1, 2, 1, 1) == xplus(4) - 2 * xplus(2)
+    assert d_triple(-1, 1, 3, 2, 1) == xminus(6) - xminus(4) - xminus(2)
+
+
+def test_closed_forms_match_the_unfolded_sums():
+    # the paper's double sums, every term written out with no mirror fold,
+    # halved where the form carries 1/2
+    def alternating(n, i):
+        return (-1) ** i * math.comb(n, i)
+
+    for u in range(0, 11):
+        for j, l in itertools.product(range(1, 4), repeat=2):
+            if u:
+                assert p_closed(u, j, l) == lie.LieElement.combine(
+                    ((alternating(u, i) * alternating(u, k), h((u - 2 * i) * j + (u - 2 * k) * l))
+                     for i in range(u + 1) for k in range(u + 1)), 2)
+            for sign, gen in ((1, xplus), (-1, xminus)):
+                a, b = (j, l) if sign > 0 else (l, j)
+                assert d1_closed(sign, u, j, l) == lie.LieElement.combine(
+                    ((alternating(u + 1, i) * alternating(u, k),
+                      gen((u + 1 - 2 * i) * a + (u - 2 * k) * b))
+                     for i in range(u + 2) for k in range(u + 1)), 2), (sign, u, j, l)
+                for m in range(1, 4):
+                    assert d_triple(sign, u, j, l, m) == lie.LieElement.combine(
+                        ((alternating(u, n) * alternating(u, v),
+                          gen(j + (u - 2 * n) * l + (u - 2 * v) * m))
+                         for n in range(u + 1) for v in range(u + 1))), (sign, u, j, l, m)
 
 
 def test_p_via_lambda():
