@@ -22,7 +22,9 @@ reply has the bytes of one ``json.dumps(payload, sort_keys=True,
 separators=(",", ":"))``.  ``normalize`` and ``bracket`` write theirs as
 text straight from the element's numerators, with each letter's fragment
 built once (:func:`element_json_text`); the other reports are written in
-pieces by the C encoder (:func:`_emit_json`).
+pieces by the C encoder (:func:`_emit_json`).  ``normalize`` and ``coords``
+evaluate ``*`` by :func:`~onsager.expr.joined_product`, which returns the
+normal form; ``bracket`` and ``realize`` keep the free product.
 """
 
 from __future__ import annotations
@@ -34,12 +36,13 @@ import sys
 
 from . import caches, loop
 from .lie import KIND_NAMES, bracket, ratio_text
-from .uea import UEAElement, from_lie, pbw_normal_form
+from .uea import UEAElement, from_lie
 from .expr import (
     DomainError,
     ExprSyntaxError,
     as_lie,
     evaluate,
+    joined_product,
     parse,
 )
 from .straighten import (
@@ -194,7 +197,7 @@ def _eval_arg(text: str) -> UEAElement:
 
 
 def cmd_normalize(args) -> int:
-    nf = pbw_normal_form(_eval_arg(args.expr))
+    nf = evaluate(parse(args.expr), joined_product)
     if args.format == "json":
         sys.stdout.write(element_json_text(nf))
     else:
@@ -213,7 +216,7 @@ def cmd_bracket(args) -> int:
 
 def cmd_coords(args) -> int:
     try:
-        coords = coordinates(_eval_arg(args.expr), args.mdegree, args.index)
+        coords = coordinates(evaluate(parse(args.expr), joined_product), args.mdegree, args.index)
     except OutOfTruncation as exc:
         print(f"error: out of truncation: {exc}", file=sys.stderr)
         return 1

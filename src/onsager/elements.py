@@ -38,8 +38,11 @@ def laurent_power(a: int, n: int) -> LinComb:
 
 
 def read_laurent(gen, poly: LinComb, den: int = 1) -> LieElement:
-    """sum c_e gen(e) / den over the terms c_e t^e of ``poly``."""
-    return LieElement.combine(((c, gen(e)) for e, c in poly.num.items()), poly.den * den)
+    """sum c_e gen(e) / den over the terms c_e t^e of ``poly``; gen's values have den 1."""
+    out: dict = {}
+    for e, c in poly.num.items():
+        add_scaled(out, c, gen(e).num.items())
+    return LieElement.over(out, poly.den * den)
 
 
 def lambda1(a: int, b: int) -> LieElement:

@@ -25,6 +25,7 @@ from onsager.expr import (
     Sum,
     as_lie,
     evaluate,
+    joined_product,
     parse,
 )
 from onsager.lie import BasisElement, Kind, h, xminus, xplus
@@ -189,6 +190,31 @@ def test_normalize_json_schema(capsys):
         for f in word["factors"]:
             assert f["kind"] in ("xp", "xm", "h")
             assert isinstance(f["index"], int)
+
+
+def test_evaluate_keeps_the_free_product_by_default():
+    """The query-stream oracle normalizes this value by its own route."""
+    word = (BasisElement(Kind.XPLUS, 1), BasisElement(Kind.XMINUS, 1))
+    free = evaluate(parse("xp(1)*xm(1)"))
+    assert free == UEAElement({word: 1})
+    assert pbw_normal_form(free) != free
+
+
+@pytest.mark.parametrize("text", [
+    "dp(xp(2),3)*lam(2,1,2)*dp(xm(1),2)",  # the heavy shapes at indices <= 2
+    "duv(+,3,2,2,1)*xm(1)*lam(2,1,2)",
+    "(xp(1)+h(1))*lam(2,1,1)*(xm(2)-2*h(0))",  # sum factors
+    "lam(2,1,2)*0*dp(xm(1),2)",
+    "dp(xp(1),2)*3/4*lam(1,2,1)*xm(2)*2/3",
+    "dp((xp(1)+h(1))*(xm(1)+h(2))-(xm(1)+h(2))*(xp(1)+h(1)),2)*lam(1,1,1)",
+    "[(xp(2)+h(1))*lam(1,1,1)-lam(1,1,1)*(xp(2)+h(1)),xm(1)]*lam(1,1,1)*xm(1)",
+    "xp(2)*xm(1)*h(1)*xm(2)*xp(1)",  # one run of one-word factors
+])
+def test_joined_product_is_the_normal_form_of_the_free_one(text):
+    joined = evaluate(parse(text), joined_product)
+    free = evaluate(parse(text))
+    assert joined == pbw_normal_form(free) == pbw_normal_form(free, "rightmost")
+    assert pbw_normal_form(joined) == joined
 
 
 def test_coords_command(capsys):
@@ -529,7 +555,8 @@ def test_memory_error_exits_2_and_clears_caches(monkeypatch, capsys):
     assert any(caches._REGISTRY)
     capsys.readouterr()
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "pbw_normal_form", exhausted)
+        # normalize's product runs this on its run of one-word factors
+        patch.setattr("onsager.expr.pbw_normal_form", exhausted)
         assert main(["normalize", "xp(1)*xm(1)"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
@@ -546,8 +573,9 @@ def test_memory_error_exits_2_and_clears_caches(monkeypatch, capsys):
 # fuzz: every input ends in a documented exit code, and printed normal
 # forms parse back.  Integers stay small (lam(1,1,900) alone runs for
 # minutes), and a product's factors carry at most three generators in all:
-# a parsed product is free, so k factors of n words build n^k words before
-# they are normalized, and one inserted "*" must not make such a product.
+# `normalize` joins multi-word factors by `multiply`, but the test's own
+# check normalizes the free product, where k factors of n words build n^k
+# words first, and one inserted "*" must not make such a product.
 
 _INDEX = st.integers(-3, 3)
 _ORDER = st.integers(0, 3)
