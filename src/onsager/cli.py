@@ -52,7 +52,6 @@ from .straighten import (
     monomial_to_text,
 )
 from .verify import (
-    _FORMATS,
     CATALOG,
     SuiteConfig,
     SuiteReport,
@@ -62,6 +61,7 @@ from .verify import (
 )
 
 ENV_CONFIG = "ONSAGER_CONFIG"
+_FORMATS = ("text", "json")
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def report_to_json(report: SuiteReport) -> dict:
             "tags": list(cfg.tags),
             # jobs is accepted but not report content: reports must be
             # byte-identical whatever --jobs says
-            "format": cfg.format,
+            "format": "json",
         },
         "results": results,
         "summary": {"pass": report.n_pass, "fail": report.n_fail},
@@ -252,7 +252,7 @@ def cmd_verify(args) -> int:
             return 2
         tags = tuple(t for t in CATALOG if t in requested)
     cfg = SuiteConfig(max_index=args.max_index, max_order=args.max_order,
-                      tags=tags, jobs=args.jobs, format=args.format)
+                      tags=tags, jobs=args.jobs)
     report = run_suite(cfg)
     if args.format == "json":
         _emit_json(report_to_json(report))

@@ -116,16 +116,6 @@ class LinComb:
     def items(self):
         return self.coeffs.items()
 
-    def _common(self, other) -> tuple[dict, dict, int]:
-        """Both numerator dicts over one denominator, the first a copy."""
-        a, b = self.den, other.den
-        if a == b:
-            return dict(self.num), other.num, a
-        den = math.lcm(a, b)
-        fa, fb = den // a, den // b
-        return ({k: fa * n for k, n in self.num.items()},
-                {k: fb * n for k, n in other.num.items()}, den)
-
     @classmethod
     def combine(cls, terms, den: int = 1):
         """The element sum c*x / den over (``int`` c, element x) pairs.
@@ -141,12 +131,10 @@ class LinComb:
         return cls.over(out, common * den)
 
     def __add__(self, other):
-        out, add, den = self._common(other)
-        return self.over(add_scaled(out, 1, add.items()), den)
+        return self.combine(((1, self), (1, other)))
 
     def __sub__(self, other):
-        out, sub, den = self._common(other)
-        return self.over(add_scaled(out, -1, sub.items()), den)
+        return self.combine(((1, self), (-1, other)))
 
     def __neg__(self):
         return self._raw({k: -n for k, n in self.num.items()}, self.den)

@@ -46,11 +46,10 @@ class AmbiguousSolution(Exception):
     report the dependency instead of silently picking a representative.
     """
 
-    def __init__(self, particular, kernel, monomials):
+    def __init__(self, particular, kernel):
         super().__init__("candidate monomials are linearly dependent")
         self.particular = particular
         self.kernel = kernel
-        self.monomials = monomials
 
 
 # Tuples, so a factor hashes and compares in C.  The trailing ``kind``
@@ -476,7 +475,7 @@ def coordinates(a: UEAElement, max_mdegree: int, max_index: int) -> dict:
     coords = {basis[i]: c for i, c in sorted(solution.items())}
     if kernel:
         raise AmbiguousSolution(
-            coords, [{basis[i]: c for i, c in sorted(v.items())} for v in kernel], basis)
+            coords, [{basis[i]: c for i, c in sorted(v.items())} for v in kernel])
     return coords
 
 

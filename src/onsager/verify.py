@@ -2,10 +2,11 @@
 
 Every named identity of the construction is a tagged check taking its
 parameters as keyword arguments, evaluated by exact expansion to PBW
-normal form.  One grid table gives each tag the axes its parameters run
-over.  Failures are report content carrying both sides of the offending
-instance; they are never raised.  The audits quantify structural facts (spans, ranks,
-triangularity) and report findings rather than assuming them.
+normal form.  One grid table, in report order, gives each tag its check
+and the axes its parameters run over.  Failures are report content
+carrying both sides of the offending instance; they are never raised.
+The audits quantify structural facts (spans, ranks, triangularity) and
+report findings rather than assuming them.
 """
 
 from __future__ import annotations
@@ -88,19 +89,22 @@ class SuiteReport:
 Check = tuple[bool, tuple[UEAElement, UEAElement] | None]
 
 
-def _eq(lhs: UEAElement | LieElement, rhs: UEAElement | LieElement) -> Check:
+def _eq(*sides: UEAElement | LieElement) -> Check:
+    """Compare the sides in pairs, ``lhs, rhs, lhs, rhs, ...``: a pass, or
+    the first pair that differs as the counterexample."""
     # both sides are canonical: in lowest terms, and in U in PBW normal form
-    if lhs == rhs:
-        return True, None
-    if isinstance(lhs, LieElement):
-        return False, (from_lie(lhs), from_lie(rhs))
-    return False, (lhs, rhs)
+    for lhs, rhs in zip(sides[::2], sides[1::2]):
+        if lhs != rhs:
+            if isinstance(lhs, LieElement):
+                return False, (from_lie(lhs), from_lie(rhs))
+            return False, (lhs, rhs)
+    return True, None
 
 
 # ---------------------------------------------------------------------------
-# The catalog.  Each tag has a check taking its parameters as keyword
-# arguments, and a row of the grid table below naming the values they
-# run over.
+# The catalog.  Each tag TAG has a check ``_chk_TAG`` taking its
+# parameters as keyword arguments; its row of the grid table below names
+# the values they run over.
 
 def _chk_I5(j, l, r, k, m, n) -> Check:
     a, b = lambda_rec(j, l, r), lambda_rec(k, m, n)
@@ -152,10 +156,8 @@ def _chk_DU1(sign, u, j, l) -> Check:
 
 def _chk_DUV(sign, u, v, j, l) -> Check:
     a = duv_rec(sign, u, v, j, l)
-    ok1, ce1 = _eq(a, duv_multinomial(sign, u, v, j, l))
-    if not ok1:
-        return ok1, ce1
-    return _eq(a, duv_series(sign, u, v, j, l))
+    return _eq(a, duv_multinomial(sign, u, v, j, l),
+               a, duv_series(sign, u, v, j, l))
 
 
 def _chk_LREC(j, l, k) -> Check:
@@ -180,12 +182,9 @@ def _chk_PNEWD(u, k, j, l) -> Check:
 
 
 def _chk_BXP(i, j, k, m) -> Check:
-    ok1, ce1 = _eq(bracket(xplus(j), p_def(i, k, m)),
-                   d_triple(1, i, j, k, m).scale(-2))
-    if not ok1:
-        return ok1, ce1
-    return _eq(bracket(p_def(i, k, m), xminus(j)),
-               d_triple(-1, i, j, k, m).scale(-2))
+    p = p_def(i, k, m)
+    return _eq(bracket(xplus(j), p), d_triple(1, i, j, k, m).scale(-2),
+               bracket(p, xminus(j)), d_triple(-1, i, j, k, m).scale(-2))
 
 
 def _chk_BPD(m, u, j, l) -> Check:
@@ -215,10 +214,7 @@ def _chk_UD(sign, u, v, j, l) -> Check:
     rhs1 = UEAElement.combine((i, t) for i, t in enumerate(ts))
     rhs2 = UEAElement.combine((i + 1, t) for i, t in enumerate(ts))
     base = duv_rec(sign, u, v, j, l)
-    ok1, ce1 = _eq(base.scale(u), rhs1)
-    if not ok1:
-        return ok1, ce1
-    return _eq(base.scale(u + v), rhs2)
+    return _eq(base.scale(u), rhs1, base.scale(u + v), rhs2)
 
 
 def _chk_LDXM(n, v, j, l) -> Check:
@@ -311,80 +307,54 @@ def _chk_REALIZE(max_index) -> Check:
     return True, None
 
 
-_REGISTRY = {
-    "I5": _chk_I5,
-    "I6": _chk_I6,
-    "I7": _chk_I7,
-    "I8": _chk_I8,
-    "I9": _chk_I9,
-    "XKL1": _chk_XKL1,
-    "XJLN": _chk_XJLN,
-    "DU1": _chk_DU1,
-    "DUV": _chk_DUV,
-    "LREC": _chk_LREC,
-    "PU": _chk_PU,
-    "P2N1": _chk_P2N1,
-    "P2N": _chk_P2N,
-    "PNEWD": _chk_PNEWD,
-    "BXP": _chk_BXP,
-    "BPD": _chk_BPD,
-    "DU1L": _chk_DU1L,
-    "LDP": _chk_LDP,
-    "UD": _chk_UD,
-    "LDXM": _chk_LDXM,
-    "LL": _chk_LL,
-    "BRKDEG": _chk_BRKDEG,
-    "CORINT": _chk_CORINT,
-    "THMAUDIT": _chk_THMAUDIT,
-    "REALIZE": _chk_REALIZE,
-}
-
-CATALOG = tuple(_REGISTRY)
-
-
-def _grid(c: SuiteConfig) -> dict[str, tuple]:
-    """Each tag's axes, outermost first.  An axis is a name and its
-    values, or a tuple of names and a list of value tuples."""
-    index = range(1, c.max_index + 1)
-    order0 = range(0, c.max_order + 1)
-    order1 = range(1, c.max_order + 1)
+def _grid(max_index: int, max_order: int) -> dict[str, tuple]:
+    """The catalog in report order: each tag's check and its axes,
+    outermost first.  An axis is a name and its values, or a tuple of
+    names and a list of value tuples."""
+    index = range(1, max_index + 1)
+    order0 = range(0, max_order + 1)
+    order1 = range(1, max_order + 1)
     sign = ("sign", (1, -1))
     jl = (("j", "l"), [(j, l) for j in index for l in index])
 
     def canonical(a, b):
         return (a, b), [(j, l) for j in index for l in index if l <= j]
 
-    return {
-        "I5": (canonical("j", "l"), canonical("k", "m"), ("r", order1), ("n", order1)),
-        "I6": (sign, ("j", index), ("r", order0), ("s", order0)),
-        "I7": (jl, ("r", order0), ("s", order0)),
-        "I8": (("j", index), canonical("k", "m"), ("r", order0), ("n", order0)),
-        "I9": (("l", index), canonical("k", "m"), ("s", order0), ("n", order0)),
-        "XKL1": (("k", range(1, c.max_index + 2)), jl),
-        "XJLN": (("j", index), canonical("k", "m"), ("n", order0)),
-        "DU1": (sign, ("u", order0), jl),
-        "DUV": (sign, ("u", order0), ("v", order0), jl),
-        "LREC": (canonical("j", "l"), ("k", order0)),
-        "PU": (("u", range(1, 2 * c.max_order + 1)), jl),
-        "P2N1": (("n", range(0, min(2, c.max_order) + 1)), jl),
-        "P2N": (("n", range(1, min(2, c.max_order) + 1)), jl),
-        "PNEWD": (("u", order0), ("k", order0), jl),
-        "BXP": (("i", order1), ("j", index), canonical("k", "m")),
-        "BPD": (("m", order1), ("u", order0), jl),
-        "DU1L": (("u", order0), ("n", order0), jl),
-        "LDP": (("i", order0), ("k", order0), jl),
-        "UD": (sign, ("u", order0), ("v", order1), jl),
-        "LDXM": (("n", order0), ("v", order1), jl),
-        "LL": (canonical("j", "l"),
-               (("k", "m"), [(k, m) for k in order1 for m in range(k, c.max_order + 1)])),
-        "BRKDEG": (("part", (1, 2, 3)), jl, ("r", order1), ("s", order1)),
-        "CORINT": (sign, ("u", order0), ("v", order0), jl),
-        "THMAUDIT": (("max_mdegree", (c.max_order,)), ("max_index", (c.max_index,))),
-        "REALIZE": (("max_index", (c.max_index,)),),
-    }
+    rows = (
+        (_chk_I5, canonical("j", "l"), canonical("k", "m"), ("r", order1), ("n", order1)),
+        (_chk_I6, sign, ("j", index), ("r", order0), ("s", order0)),
+        (_chk_I7, jl, ("r", order0), ("s", order0)),
+        (_chk_I8, ("j", index), canonical("k", "m"), ("r", order0), ("n", order0)),
+        (_chk_I9, ("l", index), canonical("k", "m"), ("s", order0), ("n", order0)),
+        (_chk_XKL1, ("k", range(1, max_index + 2)), jl),
+        (_chk_XJLN, ("j", index), canonical("k", "m"), ("n", order0)),
+        (_chk_DU1, sign, ("u", order0), jl),
+        (_chk_DUV, sign, ("u", order0), ("v", order0), jl),
+        (_chk_LREC, canonical("j", "l"), ("k", order0)),
+        (_chk_PU, ("u", range(1, 2 * max_order + 1)), jl),
+        (_chk_P2N1, ("n", range(0, min(2, max_order) + 1)), jl),
+        (_chk_P2N, ("n", range(1, min(2, max_order) + 1)), jl),
+        (_chk_PNEWD, ("u", order0), ("k", order0), jl),
+        (_chk_BXP, ("i", order1), ("j", index), canonical("k", "m")),
+        (_chk_BPD, ("m", order1), ("u", order0), jl),
+        (_chk_DU1L, ("u", order0), ("n", order0), jl),
+        (_chk_LDP, ("i", order0), ("k", order0), jl),
+        (_chk_UD, sign, ("u", order0), ("v", order1), jl),
+        (_chk_LDXM, ("n", order0), ("v", order1), jl),
+        (_chk_LL, canonical("j", "l"),
+         (("k", "m"), [(k, m) for k in order1 for m in range(k, max_order + 1)])),
+        (_chk_BRKDEG, ("part", (1, 2, 3)), jl, ("r", order1), ("s", order1)),
+        (_chk_CORINT, sign, ("u", order0), ("v", order0), jl),
+        (_chk_THMAUDIT, ("max_mdegree", (max_order,)), ("max_index", (max_index,))),
+        (_chk_REALIZE, ("max_index", (max_index,))),
+    )
+    return {check.__name__.removeprefix("_chk_"): (check, axes) for check, *axes in rows}
 
 
-def _instances(axes: tuple, check):
+CATALOG = tuple(_grid(1, 1))
+
+
+def _instances(axes: list, check):
     """The grid's points as params dicts, keyed in the check's order."""
     names = inspect.signature(check).parameters
     for point in itertools.product(*(values for _, values in axes)):
@@ -394,9 +364,6 @@ def _instances(axes: tuple, check):
         yield {name: flat[name] for name in names}
 
 
-_FORMATS = ("text", "json")
-
-
 @dataclass(frozen=True)
 class SuiteConfig:
     max_index: int = 3
@@ -404,28 +371,26 @@ class SuiteConfig:
     tags: tuple[str, ...] = CATALOG
     # accepted for compatibility; the suite always runs in one thread
     jobs: int = 1
-    format: str = "text"
 
     def validate(self) -> None:
         if self.max_index < 1 or self.max_order < 1:
             raise ValueError("bounds must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if not self.tags:
+            raise ValueError("no tags selected")
         unknown = [t for t in self.tags if t not in CATALOG]
         if unknown:
             raise ValueError(f"unknown tags: {unknown}")
-        if self.format not in _FORMATS:
-            raise ValueError(f"unknown format: {self.format}")
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     cfg.validate()
-    grid = _grid(cfg)
     results = []
-    for tag, check in _REGISTRY.items():
+    for tag, (check, axes) in _grid(cfg.max_index, cfg.max_order).items():
         if tag not in cfg.tags:
             continue
-        for params in _instances(grid[tag], check):
+        for params in _instances(axes, check):
             t0 = time.perf_counter()
             passed, ce = check(**params)
             results.append(InstanceResult(tag, params, passed, ce, time.perf_counter() - t0))

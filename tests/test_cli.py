@@ -39,7 +39,7 @@ from onsager.straighten import (
     normalize_to_basis,
 )
 from onsager.uea import UEAElement, pbw_normal_form
-from onsager.verify import InstanceResult, SuiteConfig, SuiteReport
+from onsager.verify import CATALOG, InstanceResult, SuiteConfig, SuiteReport
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +374,18 @@ def test_verify_suite_tags_keep_catalog_order(capsys):
     assert json.loads(capsys.readouterr().out)["config"]["tags"] == ["I6", "XKL1"]
     assert main(["verify", "--suite", "NOPE,I6,,ZAP"]) == 2
     assert capsys.readouterr().err == "error: unknown tags: NOPE,ZAP\n"
+
+
+def test_verify_suite_naming_no_tag_exits_2(monkeypatch, capsys):
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    for suite in (",", ",,"):
+        assert main(["verify", "--suite", suite]) == 2
+        assert capsys.readouterr() == ("", "error: no tags selected\n")
+    # an absent or empty --suite still selects every tag
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: seen.append(cfg) or SuiteReport(cfg, []))
+    assert main(["verify"]) == 0 and main(["verify", "--suite", ""]) == 0
+    assert [cfg.tags for cfg in seen] == [CATALOG, CATALOG]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import onsager.lie as lie
 from onsager import caches, cli, elements, straighten, uea, verify
 from onsager.elements import d1_closed, d1_rec
 from onsager.lie import LinComb, bracket, xminus, xplus
-from onsager.uea import from_lie, multiply, pbw_normal_form
+from onsager.uea import UEAElement, from_lie, multiply, pbw_normal_form
 from onsager.verify import (
     CATALOG,
     SuiteConfig,
@@ -45,8 +45,6 @@ def test_config_validation():
         SuiteConfig(tags=("NOPE",)).validate()
     with pytest.raises(ValueError):
         SuiteConfig(jobs=0).validate()
-    with pytest.raises(ValueError):
-        SuiteConfig(format="xml").validate()
     SuiteConfig().validate()
 
 
@@ -149,6 +147,28 @@ def test_corruption_fails_the_same_default_instances(corrupted_bracket):
     report = run_suite(SuiteConfig())
     assert collections.Counter(r.tag for r in report.results if not r.passed) \
         == CORRUPTED_FAILURES
+
+
+def test_two_pair_checks_report_their_first_differing_pair(corrupted_bracket):
+    # BXP and UD each compare two pairs; under the wrong constant both pairs
+    # of these instances differ, and the counterexample is the first of them
+    p = elements.p_def(1, 2, 1)
+    bxp = [(from_lie(bracket(xplus(1), p)), from_lie(elements.d_triple(1, 1, 1, 2, 1))),
+           (from_lie(bracket(p, xminus(1))), from_lie(elements.d_triple(-1, 1, 1, 2, 1)))]
+    bxp = [(lhs, rhs.scale(-2)) for lhs, rhs in bxp]
+    ts = [multiply(from_lie(d1_closed(-1, i, 2, 1)), elements.duv_rec(-1, 2 - i, 1, 2, 1))
+          for i in range(3)]
+    base = elements.duv_rec(-1, 2, 2, 2, 1)
+    ud = [(base.scale(2), UEAElement.combine((i, t) for i, t in enumerate(ts))),
+          (base.scale(4), UEAElement.combine((i + 1, t) for i, t in enumerate(ts)))]
+    report = run_suite(SuiteConfig(max_index=2, max_order=2, tags=("BXP", "UD")))
+    results = {(r.tag, tuple(r.params.items())): r for r in report.results}
+    for key, pairs in (
+            (("BXP", (("i", 1), ("j", 1), ("k", 2), ("m", 1))), bxp),
+            (("UD", (("sign", -1), ("u", 2), ("v", 2), ("j", 2), ("l", 1))), ud)):
+        assert all(lhs != rhs for lhs, rhs in pairs) and pairs[0] != pairs[1]
+        assert not results[key].passed
+        assert results[key].counterexample == pairs[0]
 
 
 def _default_report(capsys) -> bytes:
