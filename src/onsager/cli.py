@@ -22,9 +22,9 @@ reply has the bytes of one ``json.dumps(payload, sort_keys=True,
 separators=(",", ":"))``.  ``normalize`` and ``bracket`` write theirs as
 text straight from the element's numerators, with each letter's fragment
 built once (:func:`element_json_text`); the other reports are written in
-pieces by the C encoder (:func:`_emit_json`).  ``normalize`` and ``coords``
-evaluate ``*`` by :func:`~onsager.expr.joined_product`, which returns the
-normal form; ``bracket`` and ``realize`` keep the free product.
+pieces by the C encoder (:func:`_emit_json`).  The four expression
+commands evaluate ``*`` by :func:`~onsager.expr.joined_product`, which
+returns the normal form.
 """
 
 from __future__ import annotations
@@ -175,7 +175,10 @@ def _load_config_defaults() -> dict:
                     raise ValueError(f"malformed line: {line!r}")
                 key, value = (s.strip() for s in line.split("=", 1))
                 if key in ("max_index", "max_order", "jobs"):
-                    defaults[key] = int(value)
+                    try:
+                        defaults[key] = int(value)
+                    except ValueError:
+                        raise ValueError(f"{key} must be an integer, not {value!r}") from None
                 elif key == "tags":
                     defaults["suite"] = value
                 elif key == "format":
@@ -193,30 +196,29 @@ def _load_config_defaults() -> dict:
 # Commands
 
 def _eval_arg(text: str) -> UEAElement:
-    return evaluate(parse(text))
+    return evaluate(parse(text), joined_product)
+
+
+def _write_element(u: UEAElement, fmt: str) -> int:
+    if fmt == "json":
+        sys.stdout.write(element_json_text(u))
+    else:
+        print(u)
+    return 0
 
 
 def cmd_normalize(args) -> int:
-    nf = evaluate(parse(args.expr), joined_product)
-    if args.format == "json":
-        sys.stdout.write(element_json_text(nf))
-    else:
-        print(nf)
-    return 0
+    return _write_element(_eval_arg(args.expr), args.format)
 
 
 def cmd_bracket(args) -> int:
     out = from_lie(bracket(as_lie(_eval_arg(args.left)), as_lie(_eval_arg(args.right))))
-    if args.format == "json":
-        sys.stdout.write(element_json_text(out))
-    else:
-        print(out)
-    return 0
+    return _write_element(out, args.format)
 
 
 def cmd_coords(args) -> int:
     try:
-        coords = coordinates(evaluate(parse(args.expr), joined_product), args.mdegree, args.index)
+        coords = coordinates(_eval_arg(args.expr), args.mdegree, args.index)
     except OutOfTruncation as exc:
         print(f"error: out of truncation: {exc}", file=sys.stderr)
         return 1
@@ -245,12 +247,11 @@ def cmd_coords(args) -> int:
 def cmd_verify(args) -> int:
     tags = CATALOG
     if args.suite:
+        # known tags in catalog order, unknown ones after them for
+        # SuiteConfig.validate to name
         requested = args.suite.split(",")
-        unknown = [t for t in requested if t and t not in CATALOG]
-        if unknown:
-            print(f"error: unknown tags: {','.join(unknown)}", file=sys.stderr)
-            return 2
-        tags = tuple(t for t in CATALOG if t in requested)
+        tags = (*(t for t in CATALOG if t in requested),
+                *(t for t in requested if t and t not in CATALOG))
     cfg = SuiteConfig(max_index=args.max_index, max_order=args.max_order,
                       tags=tags, jobs=args.jobs)
     report = run_suite(cfg)

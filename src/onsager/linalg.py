@@ -15,8 +15,9 @@ divided by its content, so it is primitive, and its lead is positive.
 
 Rationals appear only at output.  A dependency sum_j c_j * num_j = 0 is
 the kernel vector with entries c_j * den_j, divided by its own input's
-entry; a target reduced to zero the same way gives the solution against
-the target's denominator.
+entry.  ``solve_columns`` is ``rref`` with the target as its last input:
+a target in the span is the last dependent input, and its kernel vector,
+negated, is the solution.
 
 An input reduces to zero exactly when it lies in the span of the earlier
 inputs, i.e. when it is a free column of the dense reduced echelon form
@@ -45,8 +46,11 @@ def _add_multiple(acc: Vector, f: int, vec: Vector) -> None:
             del acc[k]
 
 
-def _reduce(pivots: Pivots, vecs: tuple[Vector, ...]) -> None:
-    """Cancel the lead of vecs[0] against pivots, in place, until none matches.
+def _add_row(pivots: Pivots, vecs: tuple[Vector, ...]) -> bool:
+    """Cancel the lead of vecs[0] against pivots, in place, until none
+    matches; unless vecs[0] reaches zero, store the vectors as the pivot
+    under its lead, divided by their joint content, lead positive.
+    Returns whether a pivot was added.
 
     Each step is vec := a*vec - b*row on every vector and its pivot row,
     so for (rest, combo) rest = sum of combo[i] * nums[i] holds throughout.
@@ -56,7 +60,13 @@ def _reduce(pivots: Pivots, vecs: tuple[Vector, ...]) -> None:
         lead = max(rest)
         pivot = pivots.get(lead)
         if pivot is None:
-            return
+            g = gcd(*chain.from_iterable(map(dict.values, vecs)))
+            if rest[lead] < 0:
+                g = -g
+            if g != 1:
+                vecs = tuple({k: c // g for k, c in vec.items()} for vec in vecs)
+            pivots[lead] = vecs
+            return True
         r, p = rest[lead], pivot[0][lead]
         g = gcd(r, p)
         a, b = p // g, r // g
@@ -65,24 +75,7 @@ def _reduce(pivots: Pivots, vecs: tuple[Vector, ...]) -> None:
                 for k in vec:
                     vec[k] *= a
             _add_multiple(vec, -b, row)
-
-
-def _add_row(pivots: Pivots, vecs: tuple[Vector, ...]) -> bool:
-    """Reduce vecs; unless vecs[0] reaches zero, store them as the pivot
-    under its lead, divided by their joint content, lead positive.
-    Returns whether a pivot was added."""
-    _reduce(pivots, vecs)
-    rest = vecs[0]
-    if not rest:
-        return False
-    lead = max(rest)
-    g = gcd(*chain.from_iterable(map(dict.values, vecs)))
-    if rest[lead] < 0:
-        g = -g
-    if g != 1:
-        vecs = tuple({k: c // g for k, c in vec.items()} for vec in vecs)
-    pivots[lead] = vecs
-    return True
+    return False
 
 
 def pivot_keys(nums: list[Vector]) -> KeysView:
@@ -94,10 +87,10 @@ def pivot_keys(nums: list[Vector]) -> KeysView:
     return pivots.keys()
 
 
-def _quotients(combo: Vector, dens: list[int], own: int, own_den: int) -> Vector:
-    """The values combo[j] * dens[j] / (combo[own] * own_den), own left out:
-    an ``int`` where integral, else a ``Fraction``."""
-    q = combo[own] * own_den
+def _quotients(combo: Vector, dens: list[int], own: int) -> Vector:
+    """The values combo[j] * dens[j] / (combo[own] * dens[own]), own left
+    out: an ``int`` where integral, else a ``Fraction``."""
+    q = combo[own] * dens[own]
     out = {}
     for j, c in combo.items():
         if j != own:
@@ -117,7 +110,7 @@ def rref(nums: list[Vector], dens: list[int]) -> tuple[Pivots, list[Vector]]:
     for i, vec in enumerate(nums):
         combo = {i: 1}
         if not _add_row(pivots, (dict(vec), combo)):
-            kernel.append({i: 1, **_quotients(combo, dens, i, dens[i])})
+            kernel.append({i: 1, **_quotients(combo, dens, i)})
     return pivots, kernel
 
 
@@ -130,11 +123,9 @@ def solve_columns(nums: list[Vector], dens: list[int], target_num: Vector,
     every free (later, dependent) column to zero, so earlier candidates
     are preferred.
     """
-    pivots, kernel = rref(nums, dens)
     target = len(nums)
-    rest, combo = dict(target_num), {target: 1}
-    _reduce(pivots, (rest, combo))
-    if rest:
+    _, kernel = rref([*nums, target_num], [*dens, target_den])
+    if not kernel or target not in kernel[-1]:
         return None, kernel
-    # m * target_num + sum of combo[j] * nums[j] = 0, with m = combo[target]
-    return _quotients(combo, dens, target, -target_den), kernel
+    # target_num / target_den + sum of c_j * nums[j] / dens[j] = 0, so the solution is -c
+    return {j: -c for j, c in kernel.pop().items() if j != target}, kernel

@@ -373,15 +373,15 @@ class SuiteConfig:
     jobs: int = 1
 
     def validate(self) -> None:
+        unknown = [t for t in self.tags if t not in CATALOG]
+        if unknown:
+            raise ValueError(f"unknown tags: {','.join(unknown)}")
         if self.max_index < 1 or self.max_order < 1:
             raise ValueError("bounds must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if not self.tags:
             raise ValueError("no tags selected")
-        unknown = [t for t in self.tags if t not in CATALOG]
-        if unknown:
-            raise ValueError(f"unknown tags: {unknown}")
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:

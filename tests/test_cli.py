@@ -366,6 +366,11 @@ def test_config_file_malformed(tmp_path, monkeypatch, capsys):
                  ["audit", "theorem", "--mdegree", "1", "--index", "1"]):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: unknown format: xml\n")
+    # a value that is not an integer is named with its key
+    for key in ("max_index", "max_order", "jobs"):
+        cfg.write_text(f"{key} = x\n", encoding="utf-8")
+        assert main(["normalize", "h(1)"]) == 2
+        assert capsys.readouterr() == ("", f"error: {key} must be an integer, not 'x'\n")
 
 
 def test_verify_suite_tags_keep_catalog_order(capsys):
@@ -374,6 +379,12 @@ def test_verify_suite_tags_keep_catalog_order(capsys):
     assert json.loads(capsys.readouterr().out)["config"]["tags"] == ["I6", "XKL1"]
     assert main(["verify", "--suite", "NOPE,I6,,ZAP"]) == 2
     assert capsys.readouterr().err == "error: unknown tags: NOPE,ZAP\n"
+    # unknown tags are named before the bounds are checked, and bad bounds
+    # are still named when no tag is given
+    assert main(["verify", "--suite", "BOGUS", "--max-index", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown tags: BOGUS\n")
+    assert main(["verify", "--suite", ",", "--max-index", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: bounds must be >= 1\n")
 
 
 def test_verify_suite_naming_no_tag_exits_2(monkeypatch, capsys):

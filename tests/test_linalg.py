@@ -181,8 +181,10 @@ def test_solve_columns_reproduces_targets_in_the_span(data, weights):
 @settings(deadline=None)
 def test_solve_columns_rejects_a_fresh_key(data, c, den):
     nums, dens = data
-    solution, _ = solve_columns(nums, dens, {6: c}, den)
+    solution, kernel = solve_columns(nums, dens, {6: c}, den)
     assert solution is None
+    # the out-of-span target adds no dependency and drops none
+    assert kernel == rref(nums, dens)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,50 @@ def test_fused_product_matches_the_rightmost_oracle():
     assert min(seams.values()) > 100 and free > 50 and constants > 50, (seams, free, constants)
 
 
+_SIGMA_KIND = {Kind.XMINUS: Kind.XPLUS, Kind.H: Kind.H, Kind.XPLUS: Kind.XMINUS}
+
+
+def _sigma(u):
+    """The anti-involution sigma on a normal form: each word reversed, its
+    x kinds swapped, and sorted back into PBW order (letters of one kind
+    commute, so the sorted word is the same element)."""
+    return UEAElement.over({tuple(sorted(BasisElement(_SIGMA_KIND[b.kind], b.index)
+                                         for b in reversed(w))): n
+                            for w, n in u.num.items()}, u.den)
+
+
+def _sigma_failures():
+    rng = random.Random(14)
+    failures = 0
+    for _ in range(300):
+        a, b = (pbw_normal_form(_random_element(rng, max_index=3)) for _ in range(2))
+        failures += _sigma(multiply(a, b)) != multiply(_sigma(b), _sigma(a))
+    return failures
+
+
+def test_multiply_respects_the_sigma_anti_involution(monkeypatch):
+    """sigma swaps x+_j and x-_j, fixes h_k and reverses products, so
+    sigma(ab) = sigma(b) sigma(a).  It cannot see a corruption that is
+    itself symmetric under sigma, such as a wrong ``lie._H_X_SCALE``."""
+    caches.clear_all()
+    assert _sigma_failures() == 0
+    # negative control: [h_2, x-_1] tripled in both orders breaks the symmetry
+    original = uea.bracket_basis
+    pair = {BasisElement(Kind.H, 2), BasisElement(Kind.XMINUS, 1)}
+
+    def tripled(a, b):
+        out = original(a, b)
+        return out.scale(3) if {a, b} == pair else out
+
+    with monkeypatch.context() as m:
+        m.setattr(uea, "bracket_basis", tripled)
+        caches.clear_all()
+        try:
+            assert _sigma_failures() > 0
+        finally:
+            caches.clear_all()
+
+
 def test_bracket_kinds_keep_the_block_order():
     # the kind-block insertion in uea relies on this grading: letters of
     # one kind commute, and a bracket's letters have a kind between its
