@@ -13,11 +13,18 @@ with orders below the family's start (k <= 0, v <= 0) are kept too.  The
 exceptions, hand-written because they are not get-or-build lookups, are
 ``straighten._WORD_EXPAND`` (each word prefix met, under the prefix) and
 ``uea._NF_CACHE``'s word and letter-prefix normal forms (see ``uea``).
+
+``WORDS`` is the word table: it keeps one shared tuple per distinct normal
+word (hash-consing), so the words of every cached normal form, element and
+product that equal each other are one object.  Its values are its own keys,
+not computed values, so it is not registered; :func:`clear_all` clears it
+with the registered caches.
 """
 
 from __future__ import annotations
 
 _REGISTRY: list[dict] = []
+WORDS: dict[tuple, tuple] = {}
 
 
 def register(cache: dict) -> dict:
@@ -28,6 +35,7 @@ def register(cache: dict) -> dict:
 def clear_all() -> None:
     for cache in _REGISTRY:
         cache.clear()
+    WORDS.clear()
 
 
 def memoized(cache: dict, tag=None):

@@ -10,6 +10,10 @@ each letter passes the lower-kind prefix of the normal words built so
 far by ``ab -> ba + [a,b]`` and the rest joins at a seam inside the
 letter's own kind.  Two normal words join at the seam without rewriting
 when they are in order there or meet inside one kind.
+Every normal word the leftmost route builds or returns is the one shared
+object for its value in the word table ``caches.WORDS`` (see
+:func:`_join`), so equal words in caches, elements and products are one
+tuple; ``caches.clear_all`` clears the table with the caches.
 :func:`rewrite` is the package's one pair-rewriting engine: the
 straightening calculus runs it with its own factor order and rules, and
 the PBW theorem's independence of the route is checked by running it on
@@ -110,6 +114,9 @@ def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict
 # A pair's second entry is a tuple, never a letter, so the keys stay apart.
 _NF_CACHE: dict[Word | tuple[BasisElement, Word], dict[Word, int]] = caches.register({})
 
+# The word table's lookup: _shared(w, w) is the table's object equal to w.
+_shared = caches.WORDS.setdefault
+
 
 class NonIntegralBracket(ValueError):
     """A structure constant is not an integer.
@@ -128,17 +135,23 @@ def _swap(a: BasisElement, b: BasisElement) -> dict:
     return {(b, a): 1, **{(g,): c for g, c in br.num.items()}}
 
 
-# For a > b the ascent ba and single letters are normal, so ba + [a,b]
-# is the normal form of the word ab and is kept under it.
-_cached_swap = caches.memoized(_NF_CACHE)(_swap)
+@caches.memoized(_NF_CACHE)
+def _cached_swap(a: BasisElement, b: BasisElement) -> dict:
+    """:func:`_swap` on shared words.  For a > b the ascent ba and single
+    letters are normal, so ba + [a,b] is the normal form of the word ab and
+    is kept under it."""
+    return {_shared(w, w): c for w, c in _swap(a, b).items()}
 
 
 def _join(head: Word, tail: Word) -> Word:
     """The normal word of head·tail, both normal, when the seam is in
-    order or inside one kind: the shared block is sorted."""
+    order or inside one kind: the shared block is sorted.  The word is
+    the word table's object for it."""
     if not head or not tail or head[-1] <= tail[0]:
-        return head + tail
-    return tuple(sorted(head + tail))
+        w = head + tail
+    else:
+        w = tuple(sorted(head + tail))
+    return _shared(w, w)
 
 
 def _insert(letter: BasisElement, word: Word):
@@ -215,7 +228,7 @@ def _word_nf(word: Word) -> dict:
     while k > 0 and word[k - 1] <= word[k]:
         k -= 1
     if k <= 0:
-        return {word: 1}
+        return {_shared(word, word): 1}
     nf: dict = {word[k:]: 1}
     for i in range(k - 1, -1, -1):
         suffix = word[i:]

@@ -6,7 +6,7 @@ from onsager import caches, elements, lie
 from onsager.lie import bracket, h, xminus, xplus
 from onsager.expr import evaluate, parse
 from onsager.straighten import XFactor, expand_word, lfactor
-from onsager.uea import binomial, divided_power, pbw_normal_form
+from onsager.uea import UEAElement, binomial, divided_power, pbw_normal_form
 from onsager.elements import (
     binom,
     bracket_x_lambda1,
@@ -204,3 +204,63 @@ def test_element_families_are_normal_forms():
     values += [expand_word(w) for w in words]
     for x in values:
         assert pbw_normal_form(x, "rightmost") == x
+
+
+def _coproduct(u):
+    """The coproduct on a normal form, as {(left word, right word): value}.
+    Every letter is primitive, Delta x = x(x)1 + 1(x)x, so a word splits
+    over the sub-multisets of each block of equal letters: taking r of m
+    copies to the left counts binom(m, r) ways.  Sub-words of a normal word
+    are normal, so both halves need no rewriting."""
+    out: dict = {}
+    for w, c in u.items():
+        blocks = [(b, len(list(run))) for b, run in itertools.groupby(w)]
+        for takes in itertools.product(*(range(m + 1) for _, m in blocks)):
+            left = tuple(b for (b, _), r in zip(blocks, takes) for _ in range(r))
+            right = tuple(b for (b, m), r in zip(blocks, takes) for _ in range(m - r))
+            ways = math.prod(math.comb(m, r) for (_, m), r in zip(blocks, takes))
+            out[left, right] = out.get((left, right), 0) + ways * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _tensor_sum(pairs):
+    """sum of a (x) b over the (a, b) pairs, as {(word, word): value}."""
+    out: dict = {}
+    for a, b in pairs:
+        for v, x in a.items():
+            for w, y in b.items():
+                out[v, w] = out.get((v, w), 0) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def _lambda_is_group_like(j, l, k):
+    return _coproduct(lambda_rec(j, l, k)) == _tensor_sum(
+        (lambda_rec(j, l, i), lambda_rec(j, l, k - i)) for i in range(k + 1))
+
+
+def test_coproduct_of_lambda_and_d():
+    """Lambda(u) = exp(-sum p_s u^s / s) with p_s primitive, so Lambda is
+    group-like: Delta Lambda_k = sum_i Lambda_i (x) Lambda_{k-i}.  D_{u,v}
+    is a coefficient of the v-th divided power of a series of primitive
+    D_{m,1}, so Delta D_{u,v} = sum D_{u1,a} (x) D_{u2,b} over u1 + u2 = u
+    and a + b = v.  The coproduct cannot see an error in a single-letter
+    term, nor a wrong structure constant."""
+    caches.clear_all()
+    for j in range(1, 4):
+        for l in range(1, 4):
+            for k in range(5):
+                assert _lambda_is_group_like(j, l, k)
+            for sign in (1, -1):
+                for u in range(4):
+                    for v in range(4):
+                        assert _coproduct(duv_rec(sign, u, v, j, l)) == _tensor_sum(
+                            (duv_rec(sign, u1, a, j, l), duv_rec(sign, u - u1, v - a, j, l))
+                            for u1 in range(u + 1) for a in range(v + 1))
+    # control: +1 on one length-2 word of the cached Lambda_{2,1,3}
+    true = elements._LAMBDA_CACHE[2, 1, 3]
+    word = next(w for w in true.num if len(w) == 2)
+    try:
+        elements._LAMBDA_CACHE[2, 1, 3] = true + UEAElement({word: 1})
+        assert not _lambda_is_group_like(2, 1, 3)
+    finally:
+        caches.clear_all()

@@ -19,7 +19,8 @@ from onsager.uea import (
 )
 from onsager import caches, lie, uea
 from onsager.cli import main
-from onsager.elements import binom
+from onsager.elements import binom, duv_rec, lambda_rec
+from onsager.verify import SuiteConfig, run_suite
 
 
 def _random_element(rng, nwords=2, nletters=3, max_index=4):
@@ -161,9 +162,26 @@ def test_unknown_strategy_rejected():
 
 def test_rightmost_keeps_out_of_the_cache():
     a = from_lie(xplus(7)).convolve(from_lie(h(5))).convolve(from_lie(xminus(6)))
-    before = len(uea._NF_CACHE)
+    before, words = len(uea._NF_CACHE), len(caches.WORDS)
     pbw_normal_form(a, "rightmost")
-    assert len(uea._NF_CACHE) == before
+    assert len(uea._NF_CACHE) == before and len(caches.WORDS) == words
+
+
+def test_normal_words_are_the_word_tables_objects():
+    # hash-consing: every word a cached normal form, a normal form or a
+    # product holds is the one object the word table keeps for its value
+    caches.clear_all()
+    run_suite(SuiteConfig(max_index=2, max_order=2))
+    table = caches.WORDS
+    assert uea._NF_CACHE
+    for nf in uea._NF_CACHE.values():
+        for w in nf:
+            assert table[w] is w
+    rng = random.Random(5)
+    for _ in range(100):
+        a, b = (pbw_normal_form(_random_element(rng)) for _ in range(2))
+        for w in (*a.num, *b.num, *multiply(a, b).num):
+            assert table[w] is w
 
 
 def test_swap_table_lives_in_the_normal_form_cache_rebuilt_after_corruption():
@@ -261,13 +279,8 @@ def _sigma_failures():
     return failures
 
 
-def test_multiply_respects_the_sigma_anti_involution(monkeypatch):
-    """sigma swaps x+_j and x-_j, fixes h_k and reverses products, so
-    sigma(ab) = sigma(b) sigma(a).  It cannot see a corruption that is
-    itself symmetric under sigma, such as a wrong ``lie._H_X_SCALE``."""
-    caches.clear_all()
-    assert _sigma_failures() == 0
-    # negative control: [h_2, x-_1] tripled in both orders breaks the symmetry
+def _with_h2_xm1_tripled(monkeypatch, failures):
+    """failures() on fresh caches with [h_2, x-_1] tripled in both orders."""
     original = uea.bracket_basis
     pair = {BasisElement(Kind.H, 2), BasisElement(Kind.XMINUS, 1)}
 
@@ -279,9 +292,65 @@ def test_multiply_respects_the_sigma_anti_involution(monkeypatch):
         m.setattr(uea, "bracket_basis", tripled)
         caches.clear_all()
         try:
-            assert _sigma_failures() > 0
+            return failures()
         finally:
             caches.clear_all()
+
+
+def test_multiply_respects_the_sigma_anti_involution(monkeypatch):
+    """sigma swaps x+_j and x-_j, fixes h_k and reverses products, so
+    sigma(ab) = sigma(b) sigma(a).  It cannot see a corruption that is
+    itself symmetric under sigma, such as a wrong ``lie._H_X_SCALE``."""
+    caches.clear_all()
+    assert _sigma_failures() == 0
+    # negative control: the tripled constant breaks the symmetry
+    assert _with_h2_xm1_tripled(monkeypatch, _sigma_failures) > 0
+
+
+def _phi(n, u):
+    """The index scaling phi_n on a normal form: every letter's index times
+    n (h_0 stays).  It keeps the letters' order, so image words are normal."""
+    return UEAElement.over({tuple(BasisElement(b.kind, n * b.index) for b in w): c
+                            for w, c in u.num.items()}, u.den)
+
+
+def _phi_failures():
+    rng = random.Random(15)
+    failures = 0
+    for _ in range(200):
+        a, b = (pbw_normal_form(_random_element(rng, max_index=3)) for _ in range(2))
+        ab = multiply(a, b)
+        for n in (2, 3):
+            failures += _phi(n, ab) != multiply(_phi(n, a), _phi(n, b))
+    return failures
+
+
+def test_multiply_respects_the_index_scaling(monkeypatch):
+    """phi_n scales every index by n.  The structure constants
+    [x+_j, x-_l] = h_{j+l} - h_{|j-l|} and [h_k, x+-_j] = +-2(x+-_{j+k} +
+    x+-_{j-k}) keep their form under it, so it is an endomorphism of U and
+    phi_n(ab) = phi_n(a) phi_n(b).  It cannot see a corruption that is
+    itself invariant under scaling, such as a wrong ``lie._H_X_SCALE``."""
+    caches.clear_all()
+    assert _phi_failures() == 0
+    # negative control: [h_2, x-_1] is tripled but [h_4, x-_2] and
+    # [h_6, x-_3] are not
+    assert _with_h2_xm1_tripled(monkeypatch, _phi_failures) > 0
+
+
+def test_lambda_and_d_scale_with_their_pair():
+    # Lambda_{j,l,k} and D_{u,v}(j,l) are built from brackets of x+_j,
+    # x-_l and h's on (j, l), so phi_n maps them to the scaled pair's
+    for n in (2, 3):
+        for j in range(1, 4):
+            for l in range(1, 4):
+                for k in range(4):
+                    assert lambda_rec(n * j, n * l, k) == _phi(n, lambda_rec(j, l, k))
+                for sign in (1, -1):
+                    for u in range(4):
+                        for v in range(4):
+                            assert (duv_rec(sign, u, v, n * j, n * l)
+                                    == _phi(n, duv_rec(sign, u, v, j, l)))
 
 
 def test_bracket_kinds_keep_the_block_order():
