@@ -16,8 +16,12 @@ file providing defaults for the verify options (``max_index``,
 ``max_order``, ``tags``, ``jobs``, ``format``).
 
 ``main(argv)`` may be called repeatedly from one process.  Each call
-reads the config file again; the argument parser is built once per
-distinct set of config defaults, on first use, and kept.  Every JSON
+reads the config file again and builds only the parser of the command it
+names (every command's when it names none), once per command and set of
+config defaults, on first use, and kept.  Each call raises the garbage
+collector's thresholds to ``_GC_THRESHOLDS``, as the kernel makes
+millions of containers and almost no reference cycles; importing the
+module leaves them alone.  Every JSON
 reply has the bytes of one ``json.dumps(payload, sort_keys=True,
 separators=(",", ":"))``.  ``normalize`` and ``bracket`` write theirs as
 text straight from the element's numerators, with each letter's fragment
@@ -30,6 +34,7 @@ returns the normal form.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -317,82 +322,120 @@ def cmd_realize(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-def build_parser(defaults: dict) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="onsager",
-                                     description="Exact kernel for the Onsager algebra "
-                                                 "and its integral enveloping form.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _format_option(p: argparse.ArgumentParser, defaults: dict) -> None:
+    p.add_argument("--format", choices=_FORMATS, default=defaults.get("format", "text"))
 
-    def fmt(p):
-        p.add_argument("--format", choices=_FORMATS,
-                       default=defaults.get("format", "text"))
 
-    p = sub.add_parser("normalize", help="PBW normal form of an expression")
+def _normalize_args(p: argparse.ArgumentParser, defaults: dict) -> None:
     p.add_argument("expr")
-    fmt(p)
+    _format_option(p, defaults)
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("bracket", help="Lie bracket of two degree-one expressions")
+
+def _bracket_args(p: argparse.ArgumentParser, defaults: dict) -> None:
     p.add_argument("left")
     p.add_argument("right")
-    fmt(p)
+    _format_option(p, defaults)
     p.set_defaults(func=cmd_bracket)
 
-    p = sub.add_parser("coords", help="integral-basis coordinates at a truncation")
+
+def _coords_args(p: argparse.ArgumentParser, defaults: dict) -> None:
     p.add_argument("expr")
     p.add_argument("--mdegree", type=int, required=True)
     p.add_argument("--index", type=int, required=True)
-    fmt(p)
+    _format_option(p, defaults)
     p.set_defaults(func=cmd_coords)
 
-    p = sub.add_parser("verify", help="run the identity suite")
+
+def _verify_args(p: argparse.ArgumentParser, defaults: dict) -> None:
     p.add_argument("--suite", default=defaults.get("suite"),
                    help="comma-separated tags (default: all)")
     p.add_argument("--max-index", type=int, default=defaults.get("max_index", 3))
     p.add_argument("--max-order", type=int, default=defaults.get("max_order", 3))
     p.add_argument("--jobs", type=int, default=defaults.get("jobs", 1),
                    help="accepted for compatibility; the suite runs in one thread")
-    fmt(p)
+    _format_option(p, defaults)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("audit", help="structural audits")
+
+def _audit_args(p: argparse.ArgumentParser, defaults: dict) -> None:
     audit_sub = p.add_subparsers(dest="audit_command", required=True)
 
     q = audit_sub.add_parser("span", help="power-sum span rank per parity class")
     q.add_argument("--parity", choices=("even", "odd"), required=True)
     q.add_argument("--cutoff", type=int, required=True)
-    fmt(q)
+    _format_option(q, defaults)
     q.set_defaults(func=cmd_audit_span)
 
     q = audit_sub.add_parser("theorem", help="basis independence and triangularity")
     q.add_argument("--mdegree", type=int, required=True)
     q.add_argument("--index", type=int, required=True)
-    fmt(q)
+    _format_option(q, defaults)
     q.set_defaults(func=cmd_audit_theorem)
 
-    p = sub.add_parser("realize", help="matrix form under the loop realization")
+
+def _realize_args(p: argparse.ArgumentParser, defaults: dict) -> None:
     p.add_argument("expr")
     p.set_defaults(func=cmd_realize)
 
+
+# every subcommand in usage order: its help line and what adds its arguments
+_COMMANDS = {
+    "normalize": ("PBW normal form of an expression", _normalize_args),
+    "bracket": ("Lie bracket of two degree-one expressions", _bracket_args),
+    "coords": ("integral-basis coordinates at a truncation", _coords_args),
+    "verify": ("run the identity suite", _verify_args),
+    "audit": ("structural audits", _audit_args),
+    "realize": ("matrix form under the loop realization", _realize_args),
+}
+
+
+def build_parser(defaults: dict, names: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser of the subcommands ``names``, in the order given, with
+    option defaults from the config file's ``defaults``."""
+    parser = argparse.ArgumentParser(prog="onsager",
+                                     description="Exact kernel for the Onsager algebra "
+                                                 "and its integral enveloping form.")
+    # a tree of some commands keeps the whole tree's usage line; the whole
+    # tree lists its choices itself, so that its errors still name the
+    # argument "command" (argparse names it by a metavar when there is one)
+    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text), defaults)
     return parser
 
 
-# parsers by config defaults, built on first use (not at import); parsing
-# leaves a parser unchanged and usage lines take COLUMNS when printed, so
-# one parser serves every call with the same defaults
+# parsers by command names and config defaults, built on first use (not at
+# import); parsing leaves a parser unchanged and usage lines take COLUMNS
+# when printed, so one parser serves every call with the same key
 _PARSERS: dict[tuple, argparse.ArgumentParser] = {}
+
+# collector thresholds while the CLI runs: the kernel builds millions of
+# dicts and tuples with almost no reference cycles, and the defaults
+# (700, 10, 10) spend their time in passes over the growing caches.  Set by
+# main, not at import, so library users keep the defaults; the collector
+# stays on for the few cycles there are.
+_GC_THRESHOLDS = (100_000, 50, 100)
 
 
 def main(argv: list[str] | None = None) -> int:
+    gc.set_threshold(*_GC_THRESHOLDS)
     try:
         defaults = _load_config_defaults()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    key = tuple(sorted(defaults.items()))
+    if argv is None:
+        argv = sys.argv[1:]
+    # a request naming its command builds that command's parser only; any
+    # other (no argument, -h, an option or an unknown word) gets them all
+    names = (argv[0],) if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
+    key = (names, tuple(sorted(defaults.items())))
     parser = _PARSERS.get(key)
     if parser is None:
-        parser = _PARSERS[key] = build_parser(defaults)
+        parser = _PARSERS[key] = build_parser(defaults, names)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

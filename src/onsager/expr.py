@@ -18,10 +18,10 @@ the input's parentheses, brackets, call arguments and unary minus chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import groupby
+from typing import NamedTuple
 
 from .lie import LieElement, bracket, h, xminus, xplus
 from .uea import UEAElement, UEA_ONE, binomial, divided_power, from_lie, multiply, pbw_normal_form
@@ -46,29 +46,24 @@ class DomainError(ExprError):
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     value: int | Fraction
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     name: str
     args: tuple  # ints, sign strings, or sub-expressions for dp/binom
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(NamedTuple):
     terms: tuple  # (sign, node) pairs, sign +1 or -1; unary minus is one term
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     factors: tuple
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     left: object
     right: object
 
@@ -83,8 +78,7 @@ _SIGNATURES = {
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int" "name" "op" "end"
     text: str
     line: int

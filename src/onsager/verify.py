@@ -11,10 +11,9 @@ report findings rather than assuming them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-import inspect
 import itertools
 import time
+from typing import NamedTuple
 
 from . import linalg, loop
 from .lie import LieElement, bracket, generator, h, xminus, xplus
@@ -59,8 +58,7 @@ from .straighten import (
 )
 
 
-@dataclass
-class InstanceResult:
+class InstanceResult(NamedTuple):
     tag: str
     params: dict
     passed: bool
@@ -68,8 +66,7 @@ class InstanceResult:
     elapsed: float
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     config: SuiteConfig
     results: list[InstanceResult]
 
@@ -356,7 +353,8 @@ CATALOG = tuple(_grid(1, 1))
 
 def _instances(axes: list, check):
     """The grid's points as params dicts, keyed in the check's order."""
-    names = inspect.signature(check).parameters
+    code = check.__code__
+    names = code.co_varnames[:code.co_argcount]
     for point in itertools.product(*(values for _, values in axes)):
         flat = {}
         for (key, _), value in zip(axes, point):
@@ -364,8 +362,7 @@ def _instances(axes: list, check):
         yield {name: flat[name] for name in names}
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     max_index: int = 3
     max_order: int = 3
     tags: tuple[str, ...] = CATALOG
@@ -400,8 +397,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # Structural audits.
 
-@dataclass
-class SpanReport:
+class SpanReport(NamedTuple):
     parity: str
     cutoff: int
     dimension: int
@@ -440,8 +436,7 @@ def audit_span(parity: str, cutoff: int) -> SpanReport:
     return SpanReport(parity, cutoff, len(indices), len(pivots), quotient)
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(NamedTuple):
     max_mdegree: int
     max_index: int
     count: int

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -407,9 +408,9 @@ def test_parser_built_once_per_config(tmp_path, monkeypatch, capsys):
     built = []
     build_parser = cli.build_parser
 
-    def counting(defaults):
-        built.append(dict(defaults))
-        return build_parser(defaults)
+    def counting(defaults, names):
+        built.append((names, dict(defaults)))
+        return build_parser(defaults, names)
 
     monkeypatch.setattr(cli, "build_parser", counting)
     seen = []
@@ -438,8 +439,9 @@ def test_parser_built_once_per_config(tmp_path, monkeypatch, capsys):
             "max_index": 1, "max_order": 3, "tags": ["XKL1"], "format": "json"}
         assert run(None) == "summary: pass=0 fail=0\n"
         assert seen[-1] == SuiteConfig()
-    assert built == [{"max_index": 2, "suite": "I6", "format": "json"},
-                     {"max_index": 1, "suite": "XKL1", "format": "json"}, {}]
+    assert built == [(("verify",), {"max_index": 2, "suite": "I6", "format": "json"}),
+                     (("verify",), {"max_index": 1, "suite": "XKL1", "format": "json"}),
+                     (("verify",), {})]
     # a changed file is a new config and gets its own parser
     config_a.write_text("max_index = 2\nmax_order = 1\ntags = I6\nformat = json\n",
                         encoding="utf-8")
@@ -495,6 +497,55 @@ def test_no_parser_built_at_import():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
     assert out == "0\n"
+
+
+def test_import_is_light_and_main_sets_the_collector_policy():
+    # the thresholds are the CLI's policy, set by main: importing the
+    # package leaves a library user's collector as it was
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "\n".join([
+        "import gc, sys",
+        "default = gc.get_threshold()",
+        "import onsager.cli as cli",
+        "heavy = sorted({'dataclasses', 'inspect'} & set(sys.modules))",
+        "untouched = gc.get_threshold() == default",
+        "cli.main(['audit', 'span', '--parity', 'even', '--cutoff', '6'])",
+        "print(heavy, untouched, gc.get_threshold() == cli._GC_THRESHOLDS)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
+    assert out.splitlines()[-1] == "[] True True"
+
+
+def _commands(parser) -> list[str]:
+    """The subcommands ``parser`` knows, in order."""
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+def test_a_request_builds_only_its_command_parser(monkeypatch, capsys):
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    everything = ["normalize", "bracket", "coords", "verify", "audit", "realize"]
+    assert main(["normalize", "xp(1)"]) == 0
+    assert [_commands(p) for p in cli._PARSERS.values()] == [["normalize"]]
+    # -h, no argument, an option or an unknown word first: the whole tree
+    assert main(["-h"]) == 0
+    assert [_commands(p) for p in cli._PARSERS.values()] == [["normalize"], everything]
+    for argv in (["--format", "json"], ["bogus"]):
+        assert main(argv) == 2
+    capsys.readouterr()
+    assert main([]) == 2
+    assert capsys.readouterr().err == (
+        "usage: onsager [-h] {normalize,bracket,coords,verify,audit,realize} ...\n"
+        "onsager: error: the following arguments are required: command\n")
+    assert len(cli._PARSERS) == 2
+    # the installed script calls main() and the command comes from sys.argv
+    monkeypatch.setattr(sys, "argv", ["onsager", "bracket", "xp(2)", "xm(1)"])
+    assert main() == 0
+    assert capsys.readouterr() == ("-h(1) + h(3)\n", "")
+    assert _commands(list(cli._PARSERS.values())[-1]) == ["bracket"]
 
 
 def test_emit_json_matches_one_dumps(monkeypatch, capsys):
