@@ -16,6 +16,7 @@ import collections
 import functools
 import heapq
 import math
+from bisect import bisect_left
 from typing import NamedTuple, Union
 
 from . import caches, linalg
@@ -42,8 +43,9 @@ class OutOfTruncation(Exception):
 class AmbiguousSolution(Exception):
     """Candidate monomials at this truncation are linearly dependent.
 
-    Carries a particular solution and a kernel basis so callers can
-    report the dependency instead of silently picking a representative.
+    Carries a particular solution and a kernel basis (sized and
+    iterable, see :class:`BlockKernel`) so callers can report the
+    dependency instead of silently picking a representative.
     """
 
     def __init__(self, particular, kernel):
@@ -420,6 +422,59 @@ def normalize_to_basis(m: MForm) -> MForm:
 
 # ---------------------------------------------------------------------------
 # Candidate basis enumeration and coordinates.
+#
+# U_Z = U_Z^- U_Z^0 U_Z^+ (Garland, J. Algebra 53, 1978).  A candidate
+# a*lam*b, with a its minus factors and b its plus ones, expands to the one
+# x- word of a, times lam's expansion in the commutative h block, times the
+# one x+ word of b, over the factorials of a's and b's orders.  So the
+# candidates of different blocks (a, b) have disjoint supports, and those of
+# one block are, in the same order, the Lambda-only candidates of mdegree at
+# most its budget M - deg a - deg b: a prefix of the Lambda block, as
+# enumeration sorts by mdegree first.  The rank, leading words, kernel and
+# solutions of every block are read off one elimination of the Lambda block.
+
+# the most candidates the audit and coordinates take on: (7,4) has 480,700,
+# (6,5) 736,281
+MAX_CANDIDATES = 500_000
+
+
+def candidate_count(max_mdegree: int, max_index: int) -> int:
+    """C(slots + max_mdegree, max_mdegree), the number of candidates, with
+    2N + N(N+1)/2 slots at index N.  Raises ValueError on bounds out of
+    range, or when the count or the slots (which listing walks, even at
+    mdegree 0) are above MAX_CANDIDATES, before anything is listed."""
+    if max_mdegree < 0 or max_index < 1:
+        raise ValueError("bounds must be positive")
+    slots = 2 * max_index + max_index * (max_index + 1) // 2
+    count = math.comb(slots + max_mdegree, max_mdegree)
+    if max(count, slots) > MAX_CANDIDATES:
+        raise ValueError(f"{count} candidate monomials on {slots} slots at mdegree "
+                         f"{max_mdegree}, index {max_index}, more than the "
+                         f"{MAX_CANDIDATES} allowed")
+    return count
+
+
+def _slot_words(slots: list, budget: int) -> list[tuple[MWord, int]]:
+    """Each word giving the slots, in order, nonnegative orders with total
+    at most budget, paired with its unspent budget.  A slot is its factor
+    with the order left open."""
+    # extended one slot at a time: no recursion, so the slot count is not
+    # bounded by the interpreter stack
+    partial = [((), budget)]
+    for slot in slots:
+        partial = [(word + (slot(order),) if order else word, left - order)
+                   for word, left in partial for order in range(left + 1)]
+    return partial
+
+
+def _x_slots(sign: int, max_index: int) -> list:
+    return [functools.partial(XFactor, sign, i) for i in range(1, max_index + 1)]
+
+
+def _lambda_slots(max_index: int) -> list:
+    return [functools.partial(LFactor, j, l)
+            for j in range(1, max_index + 1) for l in range(1, j + 1)]
+
 
 def enumerate_basis(max_mdegree: int, max_index: int) -> list[MWord]:
     """All ordered monomials within the truncation, deterministically.
@@ -428,21 +483,9 @@ def enumerate_basis(max_mdegree: int, max_index: int) -> list[MWord]:
     plus indices, in slot order; a monomial assigns a nonnegative order
     to each slot with total at most max_mdegree.
     """
-    if max_mdegree < 0 or max_index < 1:
-        raise ValueError("bounds must be positive")
-    indices = range(1, max_index + 1)
-    # each slot as its factor with the order left open
-    slots = ([functools.partial(XFactor, -1, i) for i in indices]
-             + [functools.partial(LFactor, j, l) for j in indices for l in range(1, j + 1)]
-             + [functools.partial(XFactor, 1, i) for i in indices])
-
-    # words with their unspent budget, extended one slot at a time: no
-    # recursion, so the slot count is not bounded by the interpreter stack
-    partial = [((), max_mdegree)]
-    for slot in slots:
-        partial = [(word + (slot(order),) if order else word, budget - order)
-                   for word, budget in partial for order in range(budget + 1)]
-    return sorted((word for word, _ in partial), key=word_key)
+    candidate_count(max_mdegree, max_index)
+    slots = _x_slots(-1, max_index) + _lambda_slots(max_index) + _x_slots(1, max_index)
+    return sorted((word for word, _ in _slot_words(slots, max_mdegree)), key=word_key)
 
 
 def _within_bounds(word: MWord, max_mdegree: int, max_index: int) -> bool:
@@ -455,27 +498,103 @@ def _within_bounds(word: MWord, max_mdegree: int, max_index: int) -> bool:
     return True
 
 
+def lambda_block(max_mdegree: int, max_index: int) -> list[MWord]:
+    """The Lambda-only candidates, in enumeration order; those of mdegree
+    at most b are the first ``lambda_prefix(b, max_index)``."""
+    return sorted((word for word, _ in _slot_words(_lambda_slots(max_index), max_mdegree)),
+                  key=word_key)
+
+
+def lambda_prefix(budget: int, max_index: int) -> int:
+    """How many Lambda-only candidates have mdegree at most budget."""
+    return math.comb(max_index * (max_index + 1) // 2 + budget, budget)
+
+
+def blocks(max_mdegree: int, max_index: int) -> list[tuple[MWord, MWord, int]]:
+    """Each block (a, b, budget): a minus part a and a plus part b within
+    the truncation, and the mdegree they leave to Lambda factors."""
+    plus = _slot_words(_x_slots(1, max_index), max_mdegree)
+    return [(a, b, left + rest - max_mdegree)
+            for a, left in _slot_words(_x_slots(-1, max_index), max_mdegree)
+            for b, rest in plus if left + rest >= max_mdegree]
+
+
+def _x_part(sign: int, letters: tuple) -> tuple[MWord, int]:
+    """The divided-power factors of a sorted one-sided x word, and the
+    product of their orders' factorials, which the word is over in their
+    expansion."""
+    orders = collections.Counter(b.index for b in letters)
+    return (tuple(XFactor(sign, i, k) for i, k in orders.items()),
+            math.prod(map(math.factorial, orders.values())))
+
+
+class BlockKernel:
+    """The candidates' kernel in enumeration order, lifted from the Lambda
+    block's: a block (a, b) whose prefix holds the first n Lambda kernel
+    vectors has them, with a before and b after every word.  Its length
+    is counted, and its vectors are built only as they are read."""
+
+    __slots__ = ("_block", "_vectors", "_lifts")
+
+    def __init__(self, block: list[MWord], vectors: list[dict], lifts: list[tuple]):
+        self._block, self._vectors, self._lifts = block, vectors, lifts  # lifts: (a, b, n)
+
+    def __len__(self) -> int:
+        return sum(n for _, _, n in self._lifts)
+
+    def __iter__(self):
+        block = self._block
+        # a vector's own candidate, the one it sets to 1, is the last it uses
+        lifted = sorted(((a, v, b) for a, b, n in self._lifts for v in self._vectors[:n]),
+                        key=lambda avb: word_key(avb[0] + block[max(avb[1])] + avb[2]))
+        for a, v, b in lifted:
+            yield {a + block[j] + b: c for j, c in sorted(v.items())}
+
+
 def coordinates(a: UEAElement, max_mdegree: int, max_index: int) -> dict:
     """Exact coordinates of a against the enumerated monomials.
 
-    Writes the target's PBW normal form as a combination of the
-    candidates' expansions by exact sparse elimination.  Raises OutOfTruncation when no solution
-    exists inside the bounds and AmbiguousSolution when the candidates
-    are dependent (the kernel is attached for reporting).
+    The target's PBW normal words are grouped by their x- and x+ parts,
+    each group a block (see above), and each group's h part is solved
+    against its budget's prefix of the Lambda block, after one exact
+    elimination of that block.  Raises OutOfTruncation when no solution
+    exists inside the bounds (an x part past them is found before
+    anything is expanded) and AmbiguousSolution when the candidates are
+    dependent (the kernel is attached for reporting).
     """
-    basis = enumerate_basis(max_mdegree, max_index)
-    expansions = [expand_word(w) for w in basis]
+    candidate_count(max_mdegree, max_index)
     target = pbw_normal_form(a)
-    solution, kernel = linalg.solve_columns([e.num for e in expansions],
-                                            [e.den for e in expansions],
-                                            target.num, target.den)
-    if solution is None:
-        raise OutOfTruncation(
-            f"no expression within mdegree {max_mdegree}, index {max_index}")
-    coords = {basis[i]: c for i, c in sorted(solution.items())}
-    if kernel:
-        raise AmbiguousSolution(
-            coords, [{basis[i]: c for i, c in sorted(v.items())} for v in kernel])
+    outside = f"no expression within mdegree {max_mdegree}, index {max_index}"
+    groups: dict = {}
+    for w, n in target.num.items():
+        i, j = bisect_left(w, (Kind.H,)), bisect_left(w, (Kind.XPLUS,))
+        groups.setdefault((w[:i], w[j:]), {})[w[i:j]] = n
+    parts = []
+    for (minus, plus), h_part in groups.items():
+        budget = max_mdegree - len(minus) - len(plus)
+        if budget < 0 or any(b.index > max_index for b in minus + plus):
+            raise OutOfTruncation(outside)
+        (x_minus, k_minus), (x_plus, k_plus) = _x_part(-1, minus), _x_part(1, plus)
+        # the block's candidates are the Lambda block's over k_minus * k_plus
+        h_num = {w: k_minus * k_plus * n for w, n in h_part.items()}
+        parts.append((x_minus, x_plus, lambda_prefix(budget, max_index), h_num))
+    block = lambda_block(max_mdegree, max_index)
+    expansions = [expand_word(w) for w in block]
+    dens = [e.den for e in expansions]
+    pivots, kernel = linalg.rref([e.num for e in expansions], dens)
+    coords = {}
+    for x_minus, x_plus, prefix, h_num in parts:
+        solution = linalg.solve(pivots, dens, h_num, target.den, prefix)
+        if solution is None:
+            raise OutOfTruncation(outside)
+        coords.update((x_minus + block[j] + x_plus, c) for j, c in solution.items())
+    coords = dict(sorted(coords.items(), key=lambda item: word_key(item[0])))
+    owners = [max(v) for v in kernel]
+    kernel = BlockKernel(block, kernel,
+                         [(minus, plus, bisect_left(owners, lambda_prefix(budget, max_index)))
+                          for minus, plus, budget in blocks(max_mdegree, max_index)])
+    if len(kernel):
+        raise AmbiguousSolution(coords, kernel)
     return coords
 
 

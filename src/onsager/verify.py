@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_left
 from typing import NamedTuple
 
 from . import linalg, loop
@@ -44,10 +45,13 @@ from .elements import (
 from .straighten import (
     NoLambdaExpression,
     XFactor,
-    enumerate_basis,
+    blocks,
+    candidate_count,
     expand,
     expand_word,
     duv_mform,
+    lambda_block,
+    lambda_prefix,
     lfactor,
     mdegree,
     merge_lambda_pair,
@@ -55,6 +59,7 @@ from .straighten import (
     move_x_past_lambda,
     normalize_to_basis,
     straighten_plus_minus,
+    word_key,
 )
 
 
@@ -379,6 +384,8 @@ class SuiteConfig(NamedTuple):
             raise ValueError("jobs must be >= 1")
         if not self.tags:
             raise ValueError("no tags selected")
+        if "THMAUDIT" in self.tags:
+            candidate_count(self.max_order, self.max_index)
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -456,27 +463,36 @@ class TheoremReport(NamedTuple):
 def audit_theorem(max_mdegree: int, max_index: int) -> TheoremReport:
     """Independence, triangularity, and integrality at a truncation.
 
-    Expands every candidate basis monomial to PBW form, computes the
-    exact rank, checks that leading PBW words are pairwise distinct,
-    and normalizes a sample of divided-power products to confirm
-    integer coefficients.  Rank deficits and leading-word collisions
-    are reported, not raised.
+    Reads the exact rank and the leading PBW words of every candidate
+    basis monomial off the Lambda block (see ``straighten``): a block's
+    rank is its prefix's, and a candidate's leading word is its x- word,
+    its Lambda part's leading word, then its x+ word, so leading words
+    collide only inside a block, where the Lambda block's do.  Then it
+    normalizes a sample of divided-power products to confirm integer
+    coefficients.  Rank deficits and leading-word collisions are
+    reported, not raised.
     """
-    basis = enumerate_basis(max_mdegree, max_index)
-    expansions = [expand_word(w) for w in basis]
-    rk = len(linalg.pivot_keys([e.num for e in expansions]))
-
-    def leading(e: UEAElement):
-        return max(e.num, key=lambda w: (len(w), w))
-
+    count = candidate_count(max_mdegree, max_index)
+    block = lambda_block(max_mdegree, max_index)
+    expansions = [expand_word(w) for w in block]
+    # ranks[n]: the rank of the Lambda block's first n candidates
+    ranks = list(itertools.accumulate(linalg.independent([e.num for e in expansions]),
+                                      initial=0))
     seen: dict = {}
-    collisions = []
-    for word, e in zip(basis, expansions):
-        lead = leading(e)
-        if lead in seen:
-            collisions.append((seen[lead], word))
-        else:
-            seen[lead] = word
+    clashes = []  # (first, i): block[i]'s leading word is block[first]'s, in block order
+    for i, e in enumerate(expansions):
+        first = seen.setdefault(max(e.num, key=lambda w: (len(w), w)), i)
+        if first != i:
+            clashes.append((first, i))
+    clash_ends = [i for _, i in clashes]
+
+    rk, collisions = 0, []
+    for a, b, budget in blocks(max_mdegree, max_index):
+        prefix = lambda_prefix(budget, max_index)
+        rk += ranks[prefix]
+        collisions += [(a + block[first] + b, a + block[i] + b)
+                       for first, i in clashes[:bisect_left(clash_ends, prefix)]]
+    collisions.sort(key=lambda pair: word_key(pair[1]))
 
     sample = []
     for j in range(1, max_index + 1):
@@ -492,9 +508,9 @@ def audit_theorem(max_mdegree: int, max_index: int) -> TheoremReport:
     return TheoremReport(
         max_mdegree=max_mdegree,
         max_index=max_index,
-        count=len(basis),
+        count=count,
         rank=rk,
-        independent=rk == len(basis),
+        independent=rk == count,
         triangular=not collisions,
         collisions=collisions,
         sample_size=len(sample),

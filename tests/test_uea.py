@@ -307,6 +307,20 @@ def test_multiply_respects_the_sigma_anti_involution(monkeypatch):
     assert _with_h2_xm1_tripled(monkeypatch, _sigma_failures) > 0
 
 
+def test_sigma_fixes_lambda_and_swaps_the_d_ladders():
+    """sigma fixes every Lambda_{j,l,k}, which lives in the commutative h
+    block (the theorem audit and coordinates read candidates through it),
+    and maps D+_{u,v}(j,l) to D-_{u,v}(l,j)."""
+    caches.clear_all()
+    index, order = range(1, 4), range(4)
+    checks = [(_sigma(lambda_rec(j, l, k)), lambda_rec(j, l, k))
+              for j in index for l in index for k in order]
+    checks += [(_sigma(duv_rec(1, u, v, j, l)), duv_rec(-1, u, v, l, j))
+               for j in index for l in index for u in order for v in order]
+    assert len(checks) == 180
+    assert [pair for pair in checks if pair[0] != pair[1]] == []
+
+
 def _phi(n, u):
     """The index scaling phi_n on a normal form: every letter's index times
     n (h_0 stays).  It keeps the letters' order, so image words are normal."""
