@@ -96,6 +96,10 @@ def test_audit_matches_the_full_route(bounds):
     ("lam(2,1,2)*xp(1)", (3, 2), None),
     ("lam(3,1,2)+xm(1)*xp(2)", (4, 3), AmbiguousSolution),
     ("xp(1)*xm(1)", (4, 4), AmbiguousSolution),
+    # in the Lambda block's span, but only past its block's budget of 1
+    ("lam(1,1,2)*xp(1)", (2, 1), OutOfTruncation),
+    # x parts with orders above 1, whose factorials scale the solution
+    ("dp(xp(1),2)*dp(xm(1),2)", (4, 3), AmbiguousSolution),
 ])
 def test_coordinates_match_the_full_route(expr, bounds, kind):
     caches.clear_all()
