@@ -13,7 +13,8 @@ byte-identical across runs with the same configuration.
 
 The environment variable ``ONSAGER_CONFIG`` may point to a key=value
 file providing defaults for the verify options (``max_index``,
-``max_order``, ``tags``, ``jobs``, ``format``).
+``max_order``, ``tags``, ``jobs``) and, with ``format``, the default
+``--format`` of every command that has one.
 
 ``main(argv)`` may be called repeatedly from one process.  Each call
 reads the config file again and builds only the parser of the command it
@@ -23,12 +24,16 @@ collector's thresholds to ``_GC_THRESHOLDS``, as the kernel makes
 millions of containers and almost no reference cycles; importing the
 module leaves them alone.  Every JSON
 reply has the bytes of one ``json.dumps(payload, sort_keys=True,
-separators=(",", ":"))``.  ``normalize`` and ``bracket`` write theirs as
-text straight from the element's numerators, with each letter's fragment
-built once (:func:`element_json_text`); the other reports are written in
-pieces by the C encoder (:func:`_emit_json`).  The four expression
-commands evaluate ``*`` by :func:`~onsager.expr.joined_product`, which
-returns the normal form.
+separators=(",", ":"))``.  An element has one writer,
+:func:`element_json_text`, which builds its text straight from the
+numerators with each letter's fragment built once: the replies of
+``normalize`` and ``bracket`` and the verify report's counterexamples
+go through it.  The verify report is written as text in one pass over
+its results (:func:`_write_report_json`).  The ``coords`` and ``audit``
+payloads are written in pieces by the C encoder (:func:`_emit_json`), so
+a large reply is never held in one string.
+The four expression commands evaluate ``*`` by
+:func:`~onsager.expr.joined_product`, which returns the normal form.
 """
 
 from __future__ import annotations
@@ -72,27 +77,15 @@ _FORMATS = ("text", "json")
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-def element_to_json(u: UEAElement) -> dict:
-    """The reply payload of ``u``: the reference for :func:`element_json_text`,
-    and the form of the verify report's counterexamples."""
-    words = []
-    for w in u.words():
-        words.append({
-            "coeff": str(u.coeffs[w]),
-            "factors": [{"kind": KIND_NAMES[b.kind], "index": b.index} for b in w],
-        })
-    return {"words": words}
-
-
 # {"index":i,"kind":"k"} of each letter printed so far: output text only,
 # bounded by the distinct letters, so not a registered value cache
 _LETTER_JSON: dict = {}
 
 
 def element_json_text(u: UEAElement) -> str:
-    """``element_to_json(u)`` as sorted compact JSON text and a newline,
-    written from ``num``/``den``: no dict per word or letter, no
-    ``Fraction`` and no encoder call."""
+    """``u`` as sorted compact JSON, ``{"words":[{"coeff":..,"factors":[..]},..]}``
+    in ``words()`` order, written from ``num``/``den``: no dict per word or
+    letter, no ``Fraction`` and no encoder call."""
     num, den = u.num, u.den
     for b in set().union(*num).difference(_LETTER_JSON):
         _LETTER_JSON[b] = f'{{"index":{b.index},"kind":"{KIND_NAMES[b.kind]}"}}'
@@ -100,48 +93,45 @@ def element_json_text(u: UEAElement) -> str:
     words = ",".join(
         f'{{"coeff":"{ratio_text(num[w], den)}","factors":[{",".join(map(letter, w))}]}}'
         for w in u.words())
-    return f'{{"words":[{words}]}}\n'
-
-
-def report_to_json(report: SuiteReport) -> dict:
-    cfg = report.config
-    results = []
-    for r in report.results:
-        ce = None
-        if r.counterexample is not None:
-            lhs, rhs = r.counterexample
-            ce = {"lhs": element_to_json(lhs), "rhs": element_to_json(rhs)}
-        results.append({
-            "id": r.tag,
-            "params": r.params,
-            "pass": r.passed,
-            "counterexample": ce,
-            "ms": 0,  # fixed so identical configs give identical bytes
-        })
-    return {
-        "config": {
-            "max_index": cfg.max_index,
-            "max_order": cfg.max_order,
-            "tags": list(cfg.tags),
-            # jobs is accepted but not report content: reports must be
-            # byte-identical whatever --jobs says
-            "format": "json",
-        },
-        "results": results,
-        "summary": {"pass": report.n_pass, "fail": report.n_fail},
-    }
+    return f'{{"words":[{words}]}}'
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+def _write_report_json(report: SuiteReport) -> None:
+    """Write the verify report as sorted compact JSON and a newline, one
+    result at a time: no dict per result, word or letter."""
+    cfg = report.config
+    write = sys.stdout.write
+    # jobs is accepted but not report content: reports must be
+    # byte-identical whatever --jobs says
+    config = _ENCODE({"format": "json", "max_index": cfg.max_index,
+                      "max_order": cfg.max_order, "tags": list(cfg.tags)})
+    write(f'{{"config":{config},"results":[')
+    sep = ""
+    for r in report.results:
+        ce = "null"
+        if r.counterexample is not None:
+            lhs, rhs = r.counterexample
+            ce = f'{{"lhs":{element_json_text(lhs)},"rhs":{element_json_text(rhs)}}}'
+        # ms is fixed so identical configs give identical bytes
+        write(f'{sep}{{"counterexample":{ce},"id":"{r.tag}","ms":0,'
+              f'"params":{_ENCODE(r.params)},"pass":{"true" if r.passed else "false"}}}')
+        sep = ","
+    write(f'],"summary":{{"fail":{report.n_fail},"pass":{report.n_pass}}}}}\n')
+
+
 def _emit_json(payload: dict) -> None:
-    """Write ``payload`` as sorted compact JSON and a newline.
+    """Write ``payload`` as sorted compact JSON and a newline: the
+    ``coords`` and ``audit`` replies.
 
     ``json.dump`` always runs the pure-Python encoder, so each top-level
     key, each non-list value and each item of a list value is encoded
-    with the C one and written at once; encoding the whole payload in one
-    string would hold every chunk of a large verify report together.
+    with the C one and written at once.  Encoding the whole payload in one
+    string would hold every chunk together: for the (6,4) ``audit
+    theorem`` reply (80,332 collisions, 8.7 MB) that raised peak RSS from
+    124 to 142 MB.
     """
     write = sys.stdout.write
     write("{")
@@ -206,7 +196,9 @@ def _eval_arg(text: str) -> UEAElement:
 
 def _write_element(u: UEAElement, fmt: str) -> int:
     if fmt == "json":
+        # two writes: a concatenation would copy a large reply once more
         sys.stdout.write(element_json_text(u))
+        sys.stdout.write("\n")
     else:
         print(u)
     return 0
@@ -231,20 +223,18 @@ def cmd_coords(args) -> int:
         print(f"error: coordinates not unique at this truncation "
               f"(kernel dimension {len(exc.kernel)})", file=sys.stderr)
         return 1
-    nonzero = {w: c for w, c in coords.items() if c != 0}
-    integral = all(c.denominator == 1 for c in nonzero.values())
+    # (monomial, coefficient) texts, sorted once for either format; a
+    # coefficient is integral when its text has no denominator
+    terms = sorted((monomial_to_text(w), str(c)) for w, c in coords.items() if c != 0)
+    integral = all("/" not in c for _, c in terms)
     if args.format == "json":
         _emit_json({
-            "coordinates": [
-                {"monomial": monomial_to_text(w), "coeff": str(c)}
-                for w, c in sorted(nonzero.items(),
-                                   key=lambda item: monomial_to_text(item[0]))
-            ],
+            "coordinates": [{"monomial": m, "coeff": c} for m, c in terms],
             "integral": integral,
         })
     else:
-        for w, c in sorted(nonzero.items(), key=lambda item: monomial_to_text(item[0])):
-            print(f"{str(c):>8}  {monomial_to_text(w)}")
+        for m, c in terms:
+            print(f"{c:>8}  {m}")
         print(f"integral: {'true' if integral else 'false'}")
     return 0
 
@@ -261,7 +251,7 @@ def cmd_verify(args) -> int:
                       tags=tags, jobs=args.jobs)
     report = run_suite(cfg)
     if args.format == "json":
-        _emit_json(report_to_json(report))
+        _write_report_json(report)
     else:
         for r in report.results:
             status = "pass" if r.passed else "FAIL"

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from onsager import caches, cli
+from onsager import caches, cli, lie
 from onsager.cli import main
 from onsager.expr import (
     Bracket,
@@ -29,7 +29,7 @@ from onsager.expr import (
     joined_product,
     parse,
 )
-from onsager.lie import BasisElement, Kind, h, xminus, xplus
+from onsager.lie import KIND_NAMES, BasisElement, Kind, h, xminus, xplus
 from onsager.straighten import (
     XFactor,
     duv_mform,
@@ -39,7 +39,7 @@ from onsager.straighten import (
     monomial,
     normalize_to_basis,
 )
-from onsager.uea import UEAElement, pbw_normal_form
+from onsager.uea import UEA_ZERO, UEAElement, pbw_normal_form
 from onsager.verify import CATALOG, InstanceResult, SuiteConfig, SuiteReport
 
 
@@ -294,6 +294,22 @@ def test_verify_report_digests(argv, code, want, monkeypatch, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
+def test_corrupted_constant_report_digest(monkeypatch, capsys):
+    """With one structure constant corrupted most instances fail, so every
+    counterexample of the report is written through the CLI."""
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    monkeypatch.setattr(lie, "_H_X_SCALE", 3)
+    caches.clear_all()
+    try:
+        assert main(["verify", "--format", "json"]) == 1
+        out = capsys.readouterr().out.encode()
+    finally:
+        caches.clear_all()  # the caches hold values built with the wrong constant
+    assert len(out) == 6_755_281
+    assert hashlib.sha256(out).hexdigest() == \
+        "521cac8c44da62561d5ac61451691b9e9944f6058d23a96a3e31213775e3cb93"
+
+
 def test_degree_one_values_written_as_products(capsys):
     # [x+_1, x-_1] written as a commutator of words is h(2) - h(0)
     for argv in (["bracket", "{}", "xp(1)"], ["realize", "{}"], ["normalize", "dp({},2)"]):
@@ -352,6 +368,23 @@ def test_config_file_defaults(tmp_path, monkeypatch, capsys):
     assert payload["config"]["max_index"] == 2
     assert payload["config"]["tags"] == ["I6"]
 
+
+
+def test_config_format_sets_every_command_default(tmp_path, monkeypatch, capsys):
+    """``format = json`` is the default ``--format`` of every command that
+    has one, not of verify alone."""
+    cfg = tmp_path / "json.cfg"
+    cfg.write_text("format = json\n", encoding="utf-8")
+    for argv in (["normalize", "dp(xp(1),2)*xm(1)"], ["bracket", "xp(1)", "xm(2)"],
+                 ["coords", "xp(1)*xm(1)", "--mdegree", "2", "--index", "1"],
+                 ["audit", "theorem", "--mdegree", "2", "--index", "1"]):
+        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+        assert main(argv + ["--format", "json"]) == 0, argv
+        want = capsys.readouterr().out
+        monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
+        assert main(argv) == 0, argv
+        assert capsys.readouterr() == (want, ""), argv
+        assert isinstance(json.loads(want), dict), argv
 
 def test_config_file_malformed(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -548,6 +581,51 @@ def test_a_request_builds_only_its_command_parser(monkeypatch, capsys):
     assert _commands(list(cli._PARSERS.values())[-1]) == ["bracket"]
 
 
+def element_to_json(u: UEAElement) -> dict:
+    """The reference payload of an element: ``cli.element_json_text`` is its
+    sorted compact dumps."""
+    words = []
+    for w in u.words():
+        words.append({
+            "coeff": str(u.coeffs[w]),
+            "factors": [{"kind": KIND_NAMES[b.kind], "index": b.index} for b in w],
+        })
+    return {"words": words}
+
+
+def report_to_json(report: SuiteReport) -> dict:
+    """The reference payload of a verify report: ``cli._write_report_json``
+    writes its sorted compact dumps."""
+    cfg = report.config
+    results = []
+    for r in report.results:
+        ce = None
+        if r.counterexample is not None:
+            lhs, rhs = r.counterexample
+            ce = {"lhs": element_to_json(lhs), "rhs": element_to_json(rhs)}
+        results.append({
+            "id": r.tag,
+            "params": r.params,
+            "pass": r.passed,
+            "counterexample": ce,
+            "ms": 0,
+        })
+    return {
+        "config": {
+            "max_index": cfg.max_index,
+            "max_order": cfg.max_order,
+            "tags": list(cfg.tags),
+            "format": "json",
+        },
+        "results": results,
+        "summary": {"pass": report.n_pass, "fail": report.n_fail},
+    }
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_emit_json_matches_one_dumps(monkeypatch, capsys):
     payloads = []  # what each command hands to _emit_json
     with monkeypatch.context() as patch:
@@ -561,28 +639,32 @@ def test_emit_json_matches_one_dumps(monkeypatch, capsys):
         ):
             assert main(argv + ["--format", "json"]) == 0, argv
     assert payloads[1]["collisions"] == [] and payloads[3]["coordinates"] == []
+    for payload in payloads:
+        cli._emit_json(payload)
+        assert capsys.readouterr().out == _dumps(payload)
     # normalize writes its reply as text; it is the dumps of element_to_json
     elements = []
     for expr in ("h(1)-h(1)", "dp(xp(3),3)*lam(3,3,3)*dp(xm(3),2)"):
         assert main(["normalize", expr, "--format", "json"]) == 0, expr
-        elements.append(cli.element_to_json(pbw_normal_form(evaluate(parse(expr)))))
-        assert capsys.readouterr().out == json.dumps(
-            elements[-1], sort_keys=True, separators=(",", ":")) + "\n"
+        elements.append(element_to_json(pbw_normal_form(evaluate(parse(expr)))))
+        assert capsys.readouterr().out == _dumps(elements[-1])
     assert elements[0] == {"words": []}
     assert len(elements[1]["words"]) > 100
-    payloads += elements
-    report = SuiteReport(SuiteConfig(max_index=1, max_order=1, tags=("I5", "I6")), [
+    # the verify report is written as text; it is the dumps of report_to_json
+    report = SuiteReport(SuiteConfig(max_index=1, max_order=1, tags=("I5", "I6", "LL")), [
         InstanceResult("I5", {"j": 1}, True, None, 0.5),
         InstanceResult("I6", {"j": 1, "sign": -1}, False,
                        (pbw_normal_form(evaluate(parse("xp(1)*xm(1)"))),
                         pbw_normal_form(evaluate(parse("-3/2*h(2)")))), 0.5),
+        # LL's shape: a product that should have vanished, against zero
+        InstanceResult("LL", {"j": 1, "k": 1, "l": 1, "m": 1}, False,
+                       (pbw_normal_form(evaluate(parse("lam(1,1,1)*xp(2)"))), UEA_ZERO), 0.5),
     ])
-    payloads.append(cli.report_to_json(report))
-    assert sum(r["counterexample"] is not None for r in payloads[-1]["results"]) == 1
-    for payload in payloads:
-        cli._emit_json(payload)
-        assert capsys.readouterr().out == json.dumps(
-            payload, sort_keys=True, separators=(",", ":")) + "\n"
+    payload = report_to_json(report)
+    assert [r["counterexample"] is not None for r in payload["results"]] == [False, True, True]
+    assert payload["results"][2]["counterexample"]["rhs"] == {"words": []}
+    cli._write_report_json(report)
+    assert capsys.readouterr().out == _dumps(payload)
 
 
 def _old_repr(u):
@@ -615,8 +697,7 @@ def test_element_json_text_matches_dumps(num, den):
     """Words over all three kinds, the empty word among them, with negative
     numerators and denominators that often reduce a coefficient to an int."""
     u = UEAElement.over(num, den)
-    assert cli.element_json_text(u) == json.dumps(
-        cli.element_to_json(u), sort_keys=True, separators=(",", ":")) + "\n"
+    assert cli.element_json_text(u) + "\n" == _dumps(element_to_json(u))
     assert u.words() == sorted(u.num, key=lambda w: (len(w), w))
     assert repr(u) == _old_repr(u)
 

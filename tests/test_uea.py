@@ -20,6 +20,7 @@ from onsager.uea import (
 from onsager import caches, lie, uea
 from onsager.cli import main
 from onsager.elements import binom, duv_rec, lambda_rec
+from onsager.straighten import expand, move_x_past_lambda
 from onsager.verify import SuiteConfig, run_suite
 
 
@@ -320,6 +321,18 @@ def test_sigma_fixes_lambda_and_swaps_the_d_ladders():
     assert len(checks) == 180
     assert [pair for pair in checks if pair[0] != pair[1]] == []
 
+
+
+def test_sigma_maps_the_x_past_lambda_rewrites_onto_each_other():
+    """sigma((x+_j)^(r) L_{k,m,n}) = L_{k,m,n} (x-_j)^(r), so it maps the
+    rewrite I8 checks onto the one I9 checks, term by term."""
+    caches.clear_all()
+    pairs = [(k, m) for k in range(1, 4) for m in range(1, k + 1)]
+    checks = [(_sigma(expand(move_x_past_lambda(1, j, r, pair, n))),
+               expand(move_x_past_lambda(-1, j, r, pair, n)))
+              for j in range(1, 4) for pair in pairs for r in range(4) for n in range(4)]
+    assert len(checks) == 288
+    assert [pair for pair in checks if pair[0] != pair[1]] == []
 
 def _phi(n, u):
     """The index scaling phi_n on a normal form: every letter's index times
