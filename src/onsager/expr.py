@@ -24,7 +24,8 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .lie import LieElement, bracket, h, xminus, xplus
-from .uea import UEAElement, UEA_ONE, binomial, divided_power, from_lie, multiply, pbw_normal_form
+from .uea import (UEAElement, UEA_ONE, binomial, divided_power, from_lie, multiply,
+                  pbw_normal_form, to_lie)
 from .elements import d1_closed, d_triple, duv_rec, lambda_rec, p_def
 
 
@@ -256,11 +257,12 @@ def as_lie(u: UEAElement) -> LieElement:
     so a product that reduces to degree one, such as ``[x+_1, x-_1]``
     written ``xp(1)*xm(1)-xm(1)*xp(1)``, is accepted.
     """
-    if any(len(w) != 1 for w in u.num):
-        u = pbw_normal_form(u)
-        if any(len(w) != 1 for w in u.num):
+    a = to_lie(u)
+    if a is None:
+        a = to_lie(pbw_normal_form(u))
+        if a is None:
             raise DomainError("expected a degree-one element")
-    return LieElement.over({w[0]: n for w, n in u.num.items()}, u.den)
+    return a
 
 
 def _sign(s: str) -> int:

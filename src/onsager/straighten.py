@@ -6,13 +6,12 @@ monomial puts all minus-side divided powers first (indices increasing),
 then Lambda factors (pairs increasing, at most one factor per pair),
 then plus-side divided powers.  Everything here rewrites arbitrary
 products of such factors into exact rational combinations of ordered
-monomials, and extracts coordinates against the enumerated candidate
-basis at a finite truncation.
+monomials, and reads coordinates at a finite truncation off one
+elimination of the Lambda block, through the triangular decomposition.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import heapq
 import math
@@ -24,7 +23,10 @@ from .lie import Kind, LieElement, LinComb, add_scaled, xminus, xplus
 from .uea import (
     UEAElement,
     UEA_ONE,
+    descending_key,
     divided_power,
+    exponents,
+    kind_blocks,
     multiply,
     pbw_normal_form,
     rewrite,
@@ -326,11 +328,8 @@ def _chain_correction(remainder: UEAElement) -> dict:
     nothing is left.  Raises NoLambdaExpression when the largest word
     holds h_0 or h_1, or its chain coefficient is not an integer.
     """
-    def order(w):  # a min-heap entry: the largest word comes out first
-        return (-len(w), tuple(-b.index for b in reversed(w))), w
-
     num, den = dict(remainder.num), remainder.den
-    heap = [order(w) for w in num]
+    heap = [(descending_key(w), w) for w in num]  # the largest word comes out first
     heapq.heapify(heap)
     out: dict = {}
     while heap:
@@ -339,17 +338,15 @@ def _chain_correction(remainder: UEAElement) -> dict:
         if not n:
             del num[w]
             continue
-        if w and w[0].index < 2:
+        chains, k = exponents(w)  # each t with its q, t increasing
+        if chains and chains[0][0] < 2:
             raise NoLambdaExpression(f"h_0/h_1 in the leading word {UEAElement({w: 1})}")
-        mult = collections.Counter(b.index for b in w)  # each t with its q, t increasing
-        c, r = divmod(n * math.prod(map(math.factorial, mult.values())), den)
+        c, r = divmod(n * k, den)
         if r:
             raise NoLambdaExpression(
                 f"non-integral chain coefficient at {UEAElement({w: 1})}")
-        if len(w) % 2:
-            c = -c
-        word = tuple(LFactor(t - 1, 1, q) for t, q in mult.items())
-        out[word] = c
+        word = tuple(LFactor(t - 1, 1, q) for t, q in chains)
+        out[word] = c = (-1) ** mdegree(word) * c
         e = expand_word(word)
         if den % e.den:
             g = e.den // math.gcd(den, e.den)
@@ -360,7 +357,7 @@ def _chain_correction(remainder: UEAElement) -> dict:
             old = num.get(v)
             if old is None:
                 num[v] = -f * x
-                heapq.heappush(heap, order(v))
+                heapq.heappush(heap, (descending_key(v), v))
             else:
                 num[v] = old - f * x
         del num[w]
@@ -436,6 +433,10 @@ def normalize_to_basis(m: MForm) -> MForm:
 # the most candidates the audit and coordinates take on: (7,4) has 480,700,
 # (6,5) 736,281
 MAX_CANDIDATES = 500_000
+# the most p-vectors the span audit ranks (verify.span_count): its time grows
+# as their square, 0.5 s at 2,538 (cutoff 100), 5.1 s at 10,231 (200) and
+# 27 s at 23,041 (300) in one process on 2 vCPUs
+MAX_SPAN_VECTORS = 15_000
 
 
 def candidate_count(max_mdegree: int, max_index: int) -> int:
@@ -511,21 +512,12 @@ def lambda_prefix(budget: int, max_index: int) -> int:
 
 
 def blocks(max_mdegree: int, max_index: int) -> list[tuple[MWord, MWord, int]]:
-    """Each block (a, b, budget): a minus part a and a plus part b within
-    the truncation, and the mdegree they leave to Lambda factors."""
+    """Each block (a, b, prefix): a minus part a and a plus part b within the
+    truncation, and the length of the Lambda block's prefix that is the block's."""
     plus = _slot_words(_x_slots(1, max_index), max_mdegree)
-    return [(a, b, left + rest - max_mdegree)
+    return [(a, b, lambda_prefix(left + rest - max_mdegree, max_index))
             for a, left in _slot_words(_x_slots(-1, max_index), max_mdegree)
             for b, rest in plus if left + rest >= max_mdegree]
-
-
-def _x_part(sign: int, letters: tuple) -> tuple[MWord, int]:
-    """The divided-power factors of a sorted one-sided x word, and the
-    product of their orders' factorials, which the word is over in their
-    expansion."""
-    orders = collections.Counter(b.index for b in letters)
-    return (tuple(XFactor(sign, i, k) for i, k in orders.items()),
-            math.prod(map(math.factorial, orders.values())))
 
 
 class BlockKernel:
@@ -567,16 +559,18 @@ def coordinates(a: UEAElement, max_mdegree: int, max_index: int) -> dict:
     outside = f"no expression within mdegree {max_mdegree}, index {max_index}"
     groups: dict = {}
     for w, n in target.num.items():
-        i, j = bisect_left(w, (Kind.H,)), bisect_left(w, (Kind.XPLUS,))
-        groups.setdefault((w[:i], w[j:]), {})[w[i:j]] = n
+        minus, h_word, plus = kind_blocks(w)
+        groups.setdefault((minus, plus), {})[h_word] = n
     parts = []
     for (minus, plus), h_part in groups.items():
-        budget = max_mdegree - len(minus) - len(plus)
-        if budget < 0 or any(b.index > max_index for b in minus + plus):
+        (m_orders, k_minus), (p_orders, k_plus) = exponents(minus), exponents(plus)
+        x_minus = tuple(XFactor(-1, i, q) for i, q in m_orders)
+        x_plus = tuple(XFactor(1, i, q) for i, q in p_orders)
+        if not _within_bounds(x_minus + x_plus, max_mdegree, max_index):
             raise OutOfTruncation(outside)
-        (x_minus, k_minus), (x_plus, k_plus) = _x_part(-1, minus), _x_part(1, plus)
         # the block's candidates are the Lambda block's over k_minus * k_plus
         h_num = {w: k_minus * k_plus * n for w, n in h_part.items()}
+        budget = max_mdegree - mdegree(x_minus + x_plus)
         parts.append((x_minus, x_plus, lambda_prefix(budget, max_index), h_num))
     block = lambda_block(max_mdegree, max_index)
     expansions = [expand_word(w) for w in block]
@@ -590,9 +584,8 @@ def coordinates(a: UEAElement, max_mdegree: int, max_index: int) -> dict:
         coords.update((x_minus + block[j] + x_plus, c) for j, c in solution.items())
     coords = dict(sorted(coords.items(), key=lambda item: word_key(item[0])))
     owners = [max(v) for v in kernel]
-    kernel = BlockKernel(block, kernel,
-                         [(minus, plus, bisect_left(owners, lambda_prefix(budget, max_index)))
-                          for minus, plus, budget in blocks(max_mdegree, max_index)])
+    kernel = BlockKernel(block, kernel, [(minus, plus, bisect_left(owners, prefix))
+                                         for minus, plus, prefix in blocks(max_mdegree, max_index)])
     if len(kernel):
         raise AmbiguousSolution(coords, kernel)
     return coords

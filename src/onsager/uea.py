@@ -1,10 +1,14 @@
 """Enveloping-algebra layer: words over the basis and PBW normal forms.
 
-Elements are rational combinations of words (finite sequences of
-canonical basis elements).  :func:`multiply` takes normal forms and
-returns one; the powers built on it take a Lie element.  A free value,
-such as a ``convolve`` product, enters through :func:`pbw_normal_form`.
-A normal word is three blocks, x-, then h, then x+, each sorted; letters
+Elements are rational combinations of words.  :func:`multiply` takes
+normal forms and returns one; the powers built on it take a Lie element.
+A free value, such as a ``convolve`` product, enters through
+:func:`pbw_normal_form`.  This module owns the word format: a word is a
+tuple of ``lie.BasisElement`` letters, iterated in order (as
+``cli.element_json_text`` writes them); other modules take words apart
+only through :func:`kind_blocks`, :func:`exponents`,
+:func:`leading_word`, :func:`descending_key` and :func:`to_lie`.  A
+normal word is three blocks, x-, then h, then x+, each sorted; letters
 of one kind commute.  So a word's normal form is a fold from the right:
 each letter passes the lower-kind prefix of the normal words built so
 far by ``ab -> ba + [a,b]`` and the rest joins at a seam inside the
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
+from itertools import groupby
 
 from . import caches
 from .lie import BasisElement, Kind, LieElement, LinComb, add_scaled, basis_to_text, bracket_basis
@@ -60,6 +65,37 @@ UEA_ONE = UEAElement({(): 1})
 
 def from_lie(a: LieElement) -> UEAElement:
     return UEAElement.over({(b,): n for b, n in a.num.items()}, a.den)
+
+
+def to_lie(u: UEAElement) -> LieElement | None:
+    """The inverse of :func:`from_lie`: None when a word of ``u`` is not one letter."""
+    if any(len(w) != 1 for w in u.num):
+        return None
+    return LieElement.over({w[0]: n for w, n in u.num.items()}, u.den)
+
+
+def kind_blocks(w: Word) -> tuple[Word, Word, Word]:
+    """The x-, h and x+ blocks of a normal word."""
+    i, j = bisect_left(w, (Kind.H,)), bisect_left(w, (Kind.XPLUS,))
+    return w[:i], w[i:j], w[j:]
+
+
+def exponents(block: Word) -> tuple[list[tuple[int, int]], int]:
+    """Each index of a one-kind block with its multiplicity m, increasing, and
+    the product of the m!, which the block is over in its divided powers."""
+    mult = [(b.index, len(list(run))) for b, run in groupby(block)]
+    return mult, math.prod(math.factorial(m) for _, m in mult)
+
+
+def leading_word(u: UEAElement) -> Word:
+    """The last word of ``u.words()``, found without sorting; ``u`` is nonzero."""
+    return max(u.num, key=lambda w: (len(w), w))
+
+
+def descending_key(w: Word) -> tuple:
+    """Sort key putting h-words largest first in the multiplicative order of
+    leading-term division: length, then the indices read from the top down."""
+    return -len(w), tuple(-b.index for b in reversed(w))
 
 
 def rewrite(word: tuple, bad, rule, memo: dict, rightmost: bool = False) -> dict:

@@ -23,6 +23,7 @@ from .uea import (
     UEA_ZERO,
     divided_power,
     from_lie,
+    leading_word,
     multiply,
 )
 from .elements import (
@@ -43,6 +44,7 @@ from .elements import (
     p_via_lambda_odd,
 )
 from .straighten import (
+    MAX_SPAN_VECTORS,
     NoLambdaExpression,
     XFactor,
     blocks,
@@ -51,7 +53,6 @@ from .straighten import (
     expand_word,
     duv_mform,
     lambda_block,
-    lambda_prefix,
     lfactor,
     mdegree,
     merge_lambda_pair,
@@ -416,6 +417,22 @@ class SpanReport(NamedTuple):
         return self.dimension - self.rank
 
 
+def span_count(parity: str, cutoff: int) -> int:
+    """How many p-vectors :func:`audit_span` ranks, counted without building
+    any: the s // 2 pairs l <= j with j + l = s give one for each multiple
+    i*s up to the cutoff in the parity.  Raises ValueError as soon as the
+    count passes MAX_SPAN_VECTORS, so large cutoffs are refused at once."""
+    want = 0 if parity == "even" else 1
+    count = 0
+    for s in range(2, cutoff + 1):
+        k = cutoff // s  # multiples of s up to the cutoff; all even when s is
+        count += s // 2 * ((k + want) // 2 if s % 2 else k * (1 - want))
+        if count > MAX_SPAN_VECTORS:
+            raise ValueError(f"audit span at cutoff {cutoff} needs at least {count} "
+                             f"p-vectors, more than the {MAX_SPAN_VECTORS} allowed")
+    return count
+
+
 def audit_span(parity: str, cutoff: int) -> SpanReport:
     """Rank of the power-sum span inside one parity class of the h-span.
 
@@ -428,6 +445,7 @@ def audit_span(parity: str, cutoff: int) -> SpanReport:
         raise ValueError("parity must be 'even' or 'odd'")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    span_count(parity, cutoff)
     want = 0 if parity == "even" else 1
     indices = [k for k in range(cutoff, -1, -1) if k % 2 == want]
     nums = []
@@ -481,14 +499,13 @@ def audit_theorem(max_mdegree: int, max_index: int) -> TheoremReport:
     seen: dict = {}
     clashes = []  # (first, i): block[i]'s leading word is block[first]'s, in block order
     for i, e in enumerate(expansions):
-        first = seen.setdefault(max(e.num, key=lambda w: (len(w), w)), i)
+        first = seen.setdefault(leading_word(e), i)
         if first != i:
             clashes.append((first, i))
     clash_ends = [i for _, i in clashes]
 
     rk, collisions = 0, []
-    for a, b, budget in blocks(max_mdegree, max_index):
-        prefix = lambda_prefix(budget, max_index)
+    for a, b, prefix in blocks(max_mdegree, max_index):
         rk += ranks[prefix]
         collisions += [(a + block[first] + b, a + block[i] + b)
                        for first, i in clashes[:bisect_left(clash_ends, prefix)]]

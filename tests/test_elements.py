@@ -1,12 +1,25 @@
 import itertools
 import math
+import random
 from fractions import Fraction
+from functools import reduce
 
-from onsager import caches, elements, lie
-from onsager.lie import bracket, h, xminus, xplus
+from onsager import caches, elements, lie, uea
+from onsager.lie import BasisElement, Kind, bracket, h, xminus, xplus
 from onsager.expr import evaluate, parse
 from onsager.straighten import XFactor, expand_word, lfactor
-from onsager.uea import UEAElement, binomial, divided_power, pbw_normal_form
+from onsager.uea import (
+    UEAElement,
+    binomial,
+    divided_power,
+    exponents,
+    from_lie,
+    kind_blocks,
+    leading_word,
+    multiply,
+    pbw_normal_form,
+    to_lie,
+)
 from onsager.elements import (
     binom,
     bracket_x_lambda1,
@@ -183,9 +196,8 @@ def test_p_via_lambda():
                 assert p_via_lambda_even(n, j, l) == p_def(2 * n, j, l)
 
 
-def test_element_families_are_normal_forms():
-    # verify compares catalog sides by ==, which needs canonical values, and
-    # uea.multiply takes normal forms: so every producer must return one
+def _family_values() -> list:
+    """A value of every element family and expression call form."""
     mixed = xplus(1) + xminus(2) + h(1)
     values = [divided_power(mixed, 3), binomial(mixed, 2), binomial(h(2), 3)]
     for j, l in ((1, 1), (2, 1)):
@@ -202,8 +214,33 @@ def test_element_families_are_normal_forms():
     xp, xm, lam, lam1 = XFactor(1, 2, 2), XFactor(-1, 1, 2), lfactor(2, 1, 2), lfactor(1, 1, 1)
     words = [(xp, lam), (lam, xp), (xm, lam, xp), (xp, lam, xm), (lam, xm, lam1, xp)]
     values += [expand_word(w) for w in words]
-    for x in values:
+    return values
+
+
+def test_element_families_are_normal_forms():
+    # verify compares catalog sides by ==, which needs canonical values, and
+    # uea.multiply takes normal forms: so every producer must return one
+    for x in _family_values():
         assert pbw_normal_form(x, "rightmost") == x
+
+
+def test_word_helpers_take_the_normal_words_apart():
+    """uea's word helpers against the word format they read."""
+    for u in _family_values():
+        if u.num:
+            assert leading_word(u) == u.words()[-1]
+        for w in u.num:
+            blocks = kind_blocks(w)
+            assert sum(blocks, ()) == w
+            for kind, block in zip(Kind, blocks):
+                assert all(b.kind == kind for b in block)
+                orders, k = exponents(block)
+                assert tuple(BasisElement(kind, i) for i, m in orders for _ in range(m)) == block
+                assert [i for i, _ in orders] == sorted({b.index for b in block})
+                assert k == math.prod(math.factorial(m) for _, m in orders)
+    for a in (xplus(2), xminus(1) - h(0).scale(Fraction(1, 3)), lie.LieElement()):
+        assert to_lie(from_lie(a)) == a
+    assert to_lie(evaluate(parse("xp(1)*xp(1)"))) is None
 
 
 def _coproduct(u):
@@ -262,5 +299,68 @@ def test_coproduct_of_lambda_and_d():
     try:
         elements._LAMBDA_CACHE[2, 1, 3] = true + UEAElement({word: 1})
         assert not _lambda_is_group_like(2, 1, 3)
+    finally:
+        caches.clear_all()
+
+
+def _short_normal_forms(rng: random.Random, n: int) -> list:
+    """n normal forms of short expressions: products of two or three
+    generators, divided powers of two-generator sums and Lambdas."""
+    gens = [xplus(1), xplus(2), xminus(1), xminus(2), h(0), h(1), h(2)]
+    out = []
+    for _ in range(n):
+        shape = rng.randrange(3)
+        if shape == 0:
+            factors = [from_lie(rng.choice(gens)) for _ in range(rng.randint(2, 3))]
+            out.append(pbw_normal_form(reduce(UEAElement.convolve, factors)))
+        elif shape == 1:
+            a, b = rng.sample(gens, 2)
+            out.append(divided_power(a + b.scale(rng.choice((1, -1, 2))), rng.randint(1, 2)))
+        else:
+            out.append(elements.lambda_rec(rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)))
+    return out
+
+
+def _coproduct_of_product(a, b, memo: dict) -> dict:
+    """Delta a * Delta b in U (x) U, as {(word, word): value}: each pair of
+    word pairs multiplies slot by slot, with the normal form of each
+    product of two normal words kept in ``memo``."""
+    def nf(v, w):
+        got = memo.get((v, w))
+        if got is None:
+            got = memo[v, w] = multiply(UEAElement({v: 1}), UEAElement({w: 1})).items()
+        return got
+
+    out: dict = {}
+    for (v1, v2), x in _coproduct(a).items():
+        for (w1, w2), y in _coproduct(b).items():
+            for p, c in nf(v1, w1):
+                for q, d in nf(v2, w2):
+                    out[p, q] = out.get((p, q), 0) + x * y * c * d
+    return {k: c for k, c in out.items() if c}
+
+
+def test_coproduct_of_multiply():
+    """Delta is an algebra map, Delta(ab) = Delta a * Delta b, so it checks
+    multiply on products of normal forms.  Like every coproduct check it is
+    blind to an error in a single-letter term."""
+    caches.clear_all()
+    rng = random.Random(20061121)
+    values = _short_normal_forms(rng, 60)
+    memo: dict = {}
+    try:
+        for _ in range(200):
+            a, b = rng.choice(values), rng.choice(values)
+            assert _coproduct(multiply(a, b)) == _coproduct_of_product(a, b, memo)
+        # control: +1 on the longest word of the cached normal form of the
+        # word xp(1)*xm(1)*h(1); on a one-letter word Delta would not see it
+        caches.clear_all()
+        word = (BasisElement(Kind.XPLUS, 1), BasisElement(Kind.XMINUS, 1), BasisElement(Kind.H, 1))
+        a, b = UEAElement({word[:1]: 1}), UEAElement({word[1:]: 1})
+        multiply(a, b)  # caches the word's normal form under the word
+        true = uea._NF_CACHE[word]
+        longest = max(true, key=len)
+        uea._NF_CACHE[word] = {**true, longest: true[longest] + 1}
+        assert _coproduct(multiply(a, b)) != _coproduct_of_product(a, b, {})
     finally:
         caches.clear_all()

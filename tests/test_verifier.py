@@ -2,6 +2,7 @@ import collections
 from fractions import Fraction
 import hashlib
 import sys
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from onsager.verify import (
     audit_span,
     audit_theorem,
     run_suite,
+    span_count,
 )
 
 
@@ -301,6 +303,25 @@ def test_audit_span_validation():
         audit_span("sideways", 4)
     with pytest.raises(ValueError):
         audit_span("even", 0)
+
+
+def test_span_count_is_the_number_of_p_vectors_ranked():
+    for parity, want in (("even", 0), ("odd", 1)):
+        for cutoff in range(1, 41):
+            built = sum(1 for j in range(1, cutoff + 1) for l in range(1, j + 1)
+                        for i in range(1, cutoff // (j + l) + 1) if i * (j + l) % 2 == want)
+            assert span_count(parity, cutoff) == built
+    assert (span_count("even", 100), span_count("even", 200)) == (2538, 10231)
+
+
+def test_audit_span_refuses_a_large_cutoff_at_once():
+    # cutoff 400 has 40,959 even p-vectors, which would take minutes to rank
+    t0 = time.perf_counter()
+    for parity in ("even", "odd"):
+        for cutoff in (400, 10 ** 18):
+            with pytest.raises(ValueError, match=f"more than the {straighten.MAX_SPAN_VECTORS} "):
+                audit_span(parity, cutoff)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_audit_theorem_small():
