@@ -6,8 +6,8 @@ monomial puts all minus-side divided powers first (indices increasing),
 then Lambda factors (pairs increasing, at most one factor per pair),
 then plus-side divided powers.  Everything here rewrites arbitrary
 products of such factors into exact rational combinations of ordered
-monomials, and reads coordinates at a finite truncation off one
-elimination of the Lambda block, through the triangular decomposition.
+monomials, and reads coordinates, rank and leading-word collisions at a
+finite truncation off the Lambda block, through the triangular decomposition.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .uea import (
     divided_power,
     exponents,
     kind_blocks,
+    leading_word,
     multiply,
     pbw_normal_form,
     rewrite,
@@ -45,8 +46,8 @@ class OutOfTruncation(Exception):
 class AmbiguousSolution(Exception):
     """Candidate monomials at this truncation are linearly dependent.
 
-    Carries a particular solution and a kernel basis (sized and
-    iterable, see :class:`BlockKernel`) so callers can report the
+    Carries a particular solution and a kernel basis (a :class:`Lift`:
+    sized, and built as it is iterated) so callers can report the
     dependency instead of silently picking a representative.
     """
 
@@ -418,7 +419,7 @@ def normalize_to_basis(m: MForm) -> MForm:
 
 
 # ---------------------------------------------------------------------------
-# Candidate basis enumeration and coordinates.
+# Candidate basis enumeration, coordinates and the theorem audit.
 #
 # U_Z = U_Z^- U_Z^0 U_Z^+ (Garland, J. Algebra 53, 1978).  A candidate
 # a*lam*b, with a its minus factors and b its plus ones, expands to the one
@@ -427,16 +428,18 @@ def normalize_to_basis(m: MForm) -> MForm:
 # candidates of different blocks (a, b) have disjoint supports, and those of
 # one block are, in the same order, the Lambda-only candidates of mdegree at
 # most its budget M - deg a - deg b: a prefix of the Lambda block, as
-# enumeration sorts by mdegree first.  The rank, leading words, kernel and
-# solutions of every block are read off one elimination of the Lambda block.
+# enumeration sorts by mdegree first.  So only the Lambda block is expanded
+# and eliminated, and Lift carries its dependent candidates, leading-word
+# clashes and kernel vectors to every block whose prefix holds them.  The
+# audit eliminates it keeping the pivot rows alone (linalg.independent),
+# coordinates with each row's combination of the inputs (linalg.rref), for
+# the kernel and the solutions.  On the (6,4) Lambda block, 8,008 candidates
+# of rank 3,165, rref took 8.1-8.8 s and grew the resident set by 43 MB,
+# independent 7.2-7.5 s and 24 MB, in one process on 2 vCPUs.
 
 # the most candidates the audit and coordinates take on: (7,4) has 480,700,
 # (6,5) 736,281
 MAX_CANDIDATES = 500_000
-# the most p-vectors the span audit ranks (verify.span_count): its time grows
-# as their square, 0.5 s at 2,538 (cutoff 100), 5.1 s at 10,231 (200) and
-# 27 s at 23,041 (300) in one process on 2 vCPUs
-MAX_SPAN_VECTORS = 15_000
 
 
 def candidate_count(max_mdegree: int, max_index: int) -> int:
@@ -511,36 +514,53 @@ def lambda_prefix(budget: int, max_index: int) -> int:
     return math.comb(max_index * (max_index + 1) // 2 + budget, budget)
 
 
-def blocks(max_mdegree: int, max_index: int) -> list[tuple[MWord, MWord, int]]:
-    """Each block (a, b, prefix): a minus part a and a plus part b within the
-    truncation, and the length of the Lambda block's prefix that is the block's."""
-    plus = _slot_words(_x_slots(1, max_index), max_mdegree)
-    return [(a, b, lambda_prefix(left + rest - max_mdegree, max_index))
-            for a, left in _slot_words(_x_slots(-1, max_index), max_mdegree)
-            for b, rest in plus if left + rest >= max_mdegree]
+class Lift:
+    """Facts about Lambda-block candidates, lifted to every block: items[k]
+    ends at block[ends[k]], ends ascending, and is ``lift(a, items[k], b)``
+    in each block (a, b) whose prefix holds that end.  The length is
+    counted; the lifted items are built as they are read, in the
+    enumeration order of their ends a + block[end] + b."""
 
+    __slots__ = ("_block", "_items", "_ends", "_lift", "_counts")
 
-class BlockKernel:
-    """The candidates' kernel in enumeration order, lifted from the Lambda
-    block's: a block (a, b) whose prefix holds the first n Lambda kernel
-    vectors has them, with a before and b after every word.  Its length
-    is counted, and its vectors are built only as they are read."""
-
-    __slots__ = ("_block", "_vectors", "_lifts")
-
-    def __init__(self, block: list[MWord], vectors: list[dict], lifts: list[tuple]):
-        self._block, self._vectors, self._lifts = block, vectors, lifts  # lifts: (a, b, n)
+    def __init__(self, block: list[MWord], max_mdegree: int, max_index: int,
+                 items: list, ends: list[int], lift):
+        self._block, self._items, self._ends, self._lift = block, items, ends, lift
+        plus = _slot_words(_x_slots(1, max_index), max_mdegree)
+        # each block (a, b) with how many items end in its prefix
+        self._counts = [(a, b, bisect_left(ends, lambda_prefix(left + rest - max_mdegree,
+                                                                max_index)))
+                        for a, left in _slot_words(_x_slots(-1, max_index), max_mdegree)
+                        for b, rest in plus if left + rest >= max_mdegree]
 
     def __len__(self) -> int:
-        return sum(n for _, _, n in self._lifts)
+        return sum(n for _, _, n in self._counts)
 
     def __iter__(self):
-        block = self._block
-        # a vector's own candidate, the one it sets to 1, is the last it uses
-        lifted = sorted(((a, v, b) for a, b, n in self._lifts for v in self._vectors[:n]),
-                        key=lambda avb: word_key(avb[0] + block[max(avb[1])] + avb[2]))
-        for a, v, b in lifted:
-            yield {a + block[j] + b: c for j, c in sorted(v.items())}
+        block, items, ends, lift = self._block, self._items, self._ends, self._lift
+        lifted = sorted(((a, k, b) for a, b, n in self._counts for k in range(n)),
+                        key=lambda akb: word_key(akb[0] + block[ends[akb[1]]] + akb[2]))
+        return (lift(a, items[k], b) for a, k, b in lifted)
+
+
+def rank_and_collisions(max_mdegree: int, max_index: int) -> tuple[int, list[tuple]]:
+    """The candidates' rank, and their leading-word collisions as pairs
+    (first, later) in the later one's enumeration order: the Lambda block's
+    dependent candidates and clashes, lifted, since a candidate's leading
+    word is a's x- word, its Lambda part's, then b's x+ word."""
+    count = candidate_count(max_mdegree, max_index)
+    block = lambda_block(max_mdegree, max_index)
+    expansions = [expand_word(w) for w in block]
+    dependent = [i for i, pivot in enumerate(linalg.independent([e.num for e in expansions]))
+                 if not pivot]
+    seen: dict = {}  # each leading word's first position
+    clashes = [(first, i) for i, e in enumerate(expansions)
+               if (first := seen.setdefault(leading_word(e), i)) != i]
+    rank = count - len(Lift(block, max_mdegree, max_index, dependent, dependent,
+                            lambda a, i, b: a + block[i] + b))
+    collisions = Lift(block, max_mdegree, max_index, clashes, [i for _, i in clashes],
+                      lambda a, clash, b: tuple(a + block[i] + b for i in clash))
+    return rank, list(collisions)
 
 
 def coordinates(a: UEAElement, max_mdegree: int, max_index: int) -> dict:
@@ -583,9 +603,9 @@ def coordinates(a: UEAElement, max_mdegree: int, max_index: int) -> dict:
             raise OutOfTruncation(outside)
         coords.update((x_minus + block[j] + x_plus, c) for j, c in solution.items())
     coords = dict(sorted(coords.items(), key=lambda item: word_key(item[0])))
-    owners = [max(v) for v in kernel]
-    kernel = BlockKernel(block, kernel, [(minus, plus, bisect_left(owners, prefix))
-                                         for minus, plus, prefix in blocks(max_mdegree, max_index)])
+    # a vector's own candidate, the one it sets to 1, is the last it uses
+    kernel = Lift(block, max_mdegree, max_index, kernel, [max(v) for v in kernel],
+                  lambda a, v, b: {a + block[j] + b: c for j, c in sorted(v.items())})
     if len(kernel):
         raise AmbiguousSolution(coords, kernel)
     return coords

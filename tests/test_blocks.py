@@ -111,6 +111,23 @@ def test_coordinates_match_the_full_route(expr, bounds, kind):
         assert got[1] == 3097
 
 
+@pytest.mark.parametrize("bounds", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_coords_and_audit_agree_on_the_kernel(bounds):
+    """Both read the candidates' dependency off the same lift: coordinates
+    exist exactly when the audit finds no codimension, and otherwise the
+    kernel has the codimension's dimension."""
+    caches.clear_all()
+    codimension = audit_theorem(*bounds).codimension
+    a = _eval_arg("xp(1)*xm(1)")
+    if codimension == 0:
+        assert coordinates(a, *bounds)
+    else:
+        with pytest.raises(AmbiguousSolution) as exc:
+            coordinates(a, *bounds)
+        assert len(exc.value.kernel) == codimension
+    assert codimension == {(3, 3): 77, (4, 3): 351}.get(bounds, 0)
+
+
 def test_codimension_is_the_lambda_blocks_summed_over_the_blocks():
     """codim(M, N) = sum of n(d-) n(d+) codim_Lambda(M - d- - d+), with
     n(d) = C(d + N - 1, N - 1) x parts of degree d on each side."""
