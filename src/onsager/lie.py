@@ -303,12 +303,3 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     return LieElement.combine(((na * nb, bracket_basis(ba, bb))
                                for ba, na in a.num.items() for bb, nb in b.num.items()),
                               a.den * b.den)
-
-
-_FLIP = {Kind.XMINUS: Kind.XPLUS, Kind.H: Kind.H, Kind.XPLUS: Kind.XMINUS}
-
-
-def tau(a: LieElement) -> LieElement:
-    """Flip automorphism: x+ <-> x-, h -> -h."""
-    return LieElement.over({BasisElement(_FLIP[b.kind], b.index): -n if b.kind == Kind.H else n
-                            for b, n in a.num.items()}, a.den)

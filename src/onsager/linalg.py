@@ -10,9 +10,8 @@ fraction-free ``rest := a*rest - b*row`` of Bareiss (Math. Comp. 22,
 1968), with ``a`` and ``b`` the two leads over their gcd.  In ``rref``
 each pivot row carries the integer combination of input numerators it
 equals, and an input that reduces to zero yields its dependency at
-once; ``pivot_keys`` and ``independent``, for ranks alone, keep the rows
-only.  A pivot is divided by its content, so it is primitive, and its
-lead is positive.
+once; ``independent``, for ranks alone, keeps the rows only.  A pivot
+is divided by its content, so it is primitive, and its lead is positive.
 
 Rationals appear only at output.  A dependency sum_j c_j * num_j = 0 is
 the kernel vector with entries c_j * den_j, divided by its own input's
@@ -33,7 +32,6 @@ of the inputs are the pivot inputs of the whole that fall in it.
 
 from __future__ import annotations
 
-from collections.abc import KeysView
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -92,18 +90,10 @@ def _add_row(pivots: Pivots, vecs: tuple[Vector, ...]) -> bool:
     return True
 
 
-def pivot_keys(nums: list[Vector]) -> KeysView:
-    """The pivots' lead keys, as many as the rank: ``rref``'s rows alone,
-    with no input combinations, kernel or denominators."""
-    pivots: Pivots = {}
-    for vec in nums:
-        _add_row(pivots, (dict(vec),))
-    return pivots.keys()
-
-
 def independent(nums: list[Vector]) -> list[bool]:
     """Whether each input is a pivot input, outside the span of the inputs
-    before it: ``rref``'s rows alone, like ``pivot_keys``."""
+    before it: ``rref``'s rows alone, with no input combinations, kernel or
+    denominators."""
     pivots: Pivots = {}
     return [_add_row(pivots, (dict(vec),)) for vec in nums]
 

@@ -15,6 +15,8 @@ import pytest
 
 from onsager import caches, linalg
 from onsager.cli import _eval_arg, main
+from onsager.elements import lambda_rec
+from onsager.lie import BasisElement, Kind
 from onsager.straighten import (
     AmbiguousSolution,
     OutOfTruncation,
@@ -25,16 +27,16 @@ from onsager.straighten import (
     lambda_block,
     lambda_prefix,
 )
-from onsager.uea import pbw_normal_form
+from onsager.uea import leading_word, pbw_normal_form
 from onsager.verify import SuiteConfig, audit_theorem
 
 
 def full_audit(max_mdegree, max_index):
     """(count, rank, collisions) from every candidate's expansion: one
-    ``pivot_keys`` for the rank, leading words in enumeration order."""
+    ``independent`` for the rank, leading words in enumeration order."""
     basis = enumerate_basis(max_mdegree, max_index)
     expansions = [expand_word(w) for w in basis]
-    rank = len(linalg.pivot_keys([e.num for e in expansions]))
+    rank = sum(linalg.independent([e.num for e in expansions]))
     seen, collisions = {}, []
     for word, e in zip(basis, expansions):
         lead = max(e.num, key=lambda w: (len(w), w))
@@ -149,6 +151,25 @@ def test_codimension_is_the_lambda_blocks_summed_over_the_blocks():
                      "--format", "json"]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "0a0153ef786fadc238148e36f9d5d198c00e8fb9c46f9a0b73469f9dd7d21376")
+
+
+@pytest.mark.parametrize("j, l", [(j, l) for j in range(1, 6) for l in range(1, j + 1)])
+def test_lambda_leads_with_a_power_of_h_of_the_sum(j, l):
+    """Lambda_{j,l,k} leads with h_{j+l}^k: its degree-k part is
+    (h_{j-l} - h_{j+l})^k / k!, and words of one length are ordered so
+    that, at the first index where two differ, fewer copies win."""
+    for k in range(5):
+        assert leading_word(lambda_rec(j, l, k)) == (BasisElement(Kind.H, j + l),) * k
+
+
+@pytest.mark.parametrize("bounds", [(3, 3), (4, 3), (4, 4), (5, 4)])
+def test_collisions_are_the_candidates_past_the_distinct_leads(bounds):
+    """Leads multiply, so the all-pairs candidates lead with the monomials
+    in the 2N x slots and the 2N - 1 letters h_2 .. h_2N: C(4N - 1 + M, M)
+    distinct leading words, and every other candidate collides."""
+    max_mdegree, max_index = bounds
+    distinct = math.comb(4 * max_index - 1 + max_mdegree, max_mdegree)
+    assert len(audit_theorem(*bounds).collisions) == candidate_count(*bounds) - distinct
 
 
 def test_candidate_count_bounds_the_enumeration():

@@ -9,11 +9,11 @@ from onsager.lie import (
     BasisElement,
     Kind,
     LIE_ZERO,
+    LieElement,
     bracket,
     bracket_basis,
     generator,
     h,
-    tau,
     xminus,
     xplus,
 )
@@ -121,6 +121,15 @@ def test_bilinearity(i, j):
     lhs = bracket(a, b + c)
     rhs = bracket(a, b) + bracket(a, c)
     assert (lhs - rhs).is_zero
+
+
+_FLIP = {Kind.XMINUS: Kind.XPLUS, Kind.H: Kind.H, Kind.XPLUS: Kind.XMINUS}
+
+
+def tau(a: LieElement) -> LieElement:
+    """Flip automorphism: x+ <-> x-, h -> -h."""
+    return LieElement.over({BasisElement(_FLIP[b.kind], b.index): -n if b.kind == Kind.H else n
+                            for b, n in a.num.items()}, a.den)
 
 
 def test_tau_is_bracket_automorphism():

@@ -7,9 +7,9 @@ import time
 import pytest
 
 import onsager.lie as lie
-from onsager import caches, cli, elements, straighten, uea, verify
+from onsager import caches, cli, elements, linalg, straighten, uea, verify
 from onsager.elements import d1_closed, d1_rec
-from onsager.lie import LinComb, bracket, xminus, xplus
+from onsager.lie import LinComb, bracket, h, xminus, xplus
 from onsager.uea import UEAElement, from_lie, multiply, pbw_normal_form
 from onsager.verify import (
     CATALOG,
@@ -315,8 +315,53 @@ def test_span_count_is_the_number_of_p_vectors_ranked():
     assert (span_count("even", 100), span_count("even", 200)) == (2538, 10231)
 
 
+def _span_and_elimination(monkeypatch, parity, cutoff, p_closed=elements.p_closed):
+    """audit_span's report with p-vectors from ``p_closed``, (rank, quotient)
+    from ``rref``'s pivot keys on the vectors it built, and how many times
+    the audit called ``rref``."""
+    built, calls = [], []
+    rref = linalg.rref
+
+    def recording(u, j, l):
+        value = p_closed(u, j, l)
+        built.append({b.index: n for b, n in value.num.items()})
+        return value
+
+    def counting(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(verify, "p_closed", recording)
+    monkeypatch.setattr(linalg, "rref", counting)
+    report = audit_span(parity, cutoff)
+    pivots = rref(built, [1] * len(built))[0]
+    want = 0 if parity == "even" else 1
+    quotient = [k for k in range(cutoff, -1, -1) if k % 2 == want and k not in pivots]
+    return report, (len(pivots), quotient), len(calls)
+
+
+def test_span_certificate_equals_elimination(monkeypatch):
+    for parity in ("even", "odd"):
+        for cutoff in [*range(1, 41), 80]:
+            report, eliminated, calls = _span_and_elimination(monkeypatch, parity, cutoff)
+            assert (report.rank, report.quotient) == eliminated and calls == 0
+
+
+# added to p_1(1,1): the sum of its coefficients leaves 0; a key outside
+# the even class, with the sum kept at 0
+@pytest.mark.parametrize("extra", [h(0), h(1) - h(0)], ids=["sum", "key"])
+def test_span_audit_eliminates_when_the_certificate_fails(monkeypatch, extra):
+    def corrupted(u, j, l):
+        value = elements.p_closed(u, j, l)
+        return value + extra if (u, j, l) == (1, 1, 1) else value
+
+    report, eliminated, calls = _span_and_elimination(monkeypatch, "even", 8, corrupted)
+    assert (report.rank, report.quotient) == eliminated and calls == 1
+    assert report.rank == 5  # the distinct leads, 2, 4, 6 and 8, number 4
+
+
 def test_audit_span_refuses_a_large_cutoff_at_once():
-    # cutoff 400 has 40,959 even p-vectors, which would take minutes to rank
+    # cutoff 400 has 40,959 even p-vectors: refused before any is built
     t0 = time.perf_counter()
     for parity in ("even", "odd"):
         for cutoff in (400, 10 ** 18):
