@@ -403,15 +403,21 @@ def build_parser(defaults: dict, names: tuple[str, ...]) -> argparse.ArgumentPar
 _PARSERS: dict[tuple, argparse.ArgumentParser] = {}
 
 # collector thresholds while the CLI runs: the kernel builds millions of
-# dicts and tuples with almost no reference cycles, and the defaults
-# (700, 10, 10) spend their time in passes over the growing caches.  Set by
-# main, not at import, so library users keep the defaults; the collector
-# stays on for the few cycles there are.
+# dicts and tuples with almost no reference cycles.  The defaults
+# (700, 10, 10) make no full pass in a default verify and 8 in the (6,4)
+# audit, but they slow the warm and light workloads: over 6 alternating
+# perfbench pairs on 2 vCPUs, query-stream wall read 1.08 s under them
+# against 1.00 s under these, audit-coords wall 53 ms against 46 ms (these
+# better in 5 of 6 each), and peak RSS did not move.  Set by main, not at
+# import, so library users keep the defaults (and the int-to-text digit cap).
 _GC_THRESHOLDS = (100_000, 50, 100)
 
 
 def main(argv: list[str] | None = None) -> int:
     gc.set_threshold(*_GC_THRESHOLDS)
+    # printed coefficients of any size parse back (the cap is new in 3.10.7)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         defaults = _load_config_defaults()
     except ValueError as exc:

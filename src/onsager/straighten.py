@@ -450,6 +450,12 @@ def candidate_count(max_mdegree: int, max_index: int) -> int:
     if max_mdegree < 0 or max_index < 1:
         raise ValueError("bounds must be positive")
     slots = 2 * max_index + max_index * (max_index + 1) // 2
+    # with k = min(M, slots) >= 1 the count is at least slots + M and C(2k, k),
+    # which passes MAX_CANDIDATES from k = 11: refused before the binomial,
+    # which at large bounds is slow and too long to print
+    if min(max_mdegree, slots) > 10 or (max_mdegree and slots + max_mdegree > MAX_CANDIDATES):
+        raise ValueError(f"more than the {MAX_CANDIDATES} candidate monomials allowed on "
+                         f"{slots} slots at mdegree {max_mdegree}, index {max_index}")
     count = math.comb(slots + max_mdegree, max_mdegree)
     if max(count, slots) > MAX_CANDIDATES:
         raise ValueError(f"{count} candidate monomials on {slots} slots at mdegree "

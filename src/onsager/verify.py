@@ -407,32 +407,14 @@ class SpanReport(NamedTuple):
     rank: int
     quotient: list[int]  # h-indices spanning the quotient
 
-    @property
-    def codimension(self) -> int:
-        return self.dimension - self.rank
 
-
-# the most p-vectors the span audit builds.  Building is linear in their
-# nonzeros and the certificate is one more pass: 0.55 s and 0.007 s at
-# 10,231 (cutoff 200) in one process on 2 vCPUs.  Only the fallback
-# elimination grows as their square, 6.2 s at cutoff 200.
-MAX_SPAN_VECTORS = 15_000
-
-
-def span_count(parity: str, cutoff: int) -> int:
-    """How many p-vectors :func:`audit_span` builds, counted without building
-    any: the s // 2 pairs l <= j with j + l = s give one for each multiple
-    i*s up to the cutoff in the parity.  Raises ValueError as soon as the
-    count passes MAX_SPAN_VECTORS, so large cutoffs are refused at once."""
-    want = 0 if parity == "even" else 1
-    count = 0
-    for s in range(2, cutoff + 1):
-        k = cutoff // s  # multiples of s up to the cutoff; all even when s is
-        count += s // 2 * ((k + want) // 2 if s % 2 else k * (1 - want))
-        if count > MAX_SPAN_VECTORS:
-            raise ValueError(f"audit span at cutoff {cutoff} needs at least {count} "
-                             f"p-vectors, more than the {MAX_SPAN_VECTORS} allowed")
-    return count
+# the largest cutoff the span audit takes on.  Building the p-vectors is
+# linear in their nonzeros and the certificate is one more pass: at 400,
+# even (40,959 vectors) took 6.0 s and peaked at 54 MB, odd (24,323) 1.4 s
+# and 33 MB, in one process on 2 vCPUs.  The fallback elimination runs only
+# on a wrong p_closed and grows as the square of the vector count: 6.2 s at
+# even cutoff 200, 165 s and 535 MB at even 400.
+MAX_SPAN_CUTOFF = 400
 
 
 def audit_span(parity: str, cutoff: int) -> SpanReport:
@@ -456,7 +438,8 @@ def audit_span(parity: str, cutoff: int) -> SpanReport:
         raise ValueError("parity must be 'even' or 'odd'")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    span_count(parity, cutoff)
+    if cutoff > MAX_SPAN_CUTOFF:
+        raise ValueError(f"cutoff must be <= {MAX_SPAN_CUTOFF}")
     want = 0 if parity == "even" else 1
     indices = [k for k in range(cutoff, -1, -1) if k % 2 == want]
     nums = []

@@ -6,10 +6,12 @@ The full route, which expands every candidate and eliminates them all at
 once, is kept here as the oracle they are held against.
 """
 
+import collections
 import contextlib
 import hashlib
 import io
 import math
+import random
 
 import pytest
 
@@ -111,6 +113,32 @@ def test_coordinates_match_the_full_route(expr, bounds, kind):
     assert got == outcome(full_coordinates, a, *bounds)
     if bounds == (4, 4):
         assert got[1] == 3097
+
+
+_SWEEP_FACTORS = ["xp(1)", "xp(2)", "xp(3)", "xm(1)", "xm(2)", "xm(3)", "h(1)", "h(2)", "h(3)",
+                  "lam(2,1,1)", "lam(3,1,2)", "dp(xp(1),2)", "dp(xm(2),2)", "(1/2*xp(1))"]
+_SWEEP_BOUNDS = [(2, 2), (3, 2), (3, 3), (4, 3)]
+
+
+def test_coordinates_match_the_full_route_on_a_seeded_sweep():
+    """100 seeded targets, each a product of one to three factors, some
+    with one more such term, at bounds up to (4,3)."""
+    rng = random.Random(1)
+
+    def product():
+        return "*".join(rng.choice(_SWEEP_FACTORS) for _ in range(rng.randint(1, 3)))
+
+    caches.clear_all()
+    kinds = collections.Counter()
+    for _ in range(100):
+        expr = product() + ("+" + product() if rng.random() < 0.3 else "")
+        bounds = rng.choice(_SWEEP_BOUNDS)
+        a = _eval_arg(expr)
+        got = outcome(coordinates, a, *bounds)
+        assert got == outcome(full_coordinates, a, *bounds), (expr, bounds)
+        kinds[got[0]] += 1
+    # every outcome is exercised
+    assert kinds == {None: 12, OutOfTruncation: 60, AmbiguousSolution: 28}
 
 
 @pytest.mark.parametrize("bounds", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])

@@ -182,6 +182,41 @@ def test_normalize_long_chain_needs_no_recursion(capsys):
         caches.clear_all()  # the chain's normal forms are long words
 
 
+@pytest.fixture
+def int_digits_cap():
+    """Restores the interpreter's cap on int-to-text digits, which main
+    lifts (interpreters before 3.10.7 have none)."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    yield
+    if cap is not None:
+        sys.set_int_max_str_digits(cap)
+
+
+def test_coefficients_of_any_size_print_and_parse_back(int_digits_cap, capsys):
+    # a numerator of 4,421 digits, past the interpreter's default cap
+    text = "dp(1000000*xp(1),800)"
+    assert main(["normalize", text]) == 0
+    out = capsys.readouterr().out.strip()
+    assert pbw_normal_form(evaluate(parse(out))) == pbw_normal_form(evaluate(parse(text)))
+    assert main(["normalize", text, "--format", "json"]) == 0
+    [word] = json.loads(capsys.readouterr().out)["words"]
+    assert word["coeff"] == out.split("*")[0] and len(word["factors"]) == 800
+
+
+@pytest.mark.parametrize("argv", [
+    ["coords", "xp(1)", "--mdegree", "1000000000000", "--index", "900"],
+    ["audit", "theorem", "--mdegree", "100000", "--index", "100"],
+    ["verify", "--suite", "THMAUDIT", "--max-order", "100000", "--max-index", "100"],
+])
+def test_huge_candidate_counts_are_refused_at_once(argv, int_digits_cap, capsys):
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 0.1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: more than the 500000 candidate monomials allowed on ")
+
+
 def test_normalize_json_schema(capsys):
     assert main(["normalize", "h(2)*xp(1)", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -533,21 +568,23 @@ def test_no_parser_built_at_import():
 
 
 def test_import_is_light_and_main_sets_the_collector_policy():
-    # the thresholds are the CLI's policy, set by main: importing the
-    # package leaves a library user's collector as it was
+    # the thresholds and the lifted cap on int-to-text digits are the CLI's
+    # policy, set by main: importing the package leaves a library user's
+    # collector and cap as they were
     src = Path(cli.__file__).resolve().parents[1]
     code = "\n".join([
         "import gc, sys",
-        "default = gc.get_threshold()",
+        "digits = getattr(sys, 'get_int_max_str_digits', lambda: 0)",
+        "default = gc.get_threshold(), digits()",
         "import onsager.cli as cli",
         "heavy = sorted({'dataclasses', 'inspect'} & set(sys.modules))",
-        "untouched = gc.get_threshold() == default",
+        "untouched = (gc.get_threshold(), digits()) == default",
         "cli.main(['audit', 'span', '--parity', 'even', '--cutoff', '6'])",
-        "print(heavy, untouched, gc.get_threshold() == cli._GC_THRESHOLDS)",
+        "print(heavy, untouched, gc.get_threshold() == cli._GC_THRESHOLDS, digits())",
     ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
-    assert out.splitlines()[-1] == "[] True True"
+    assert out.splitlines()[-1] == "[] True True 0"
 
 
 def _commands(parser) -> list[str]:

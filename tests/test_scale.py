@@ -1,9 +1,9 @@
 """Report digests at scale, run only on request.
 
 Each case runs the ``onsager`` CLI in a fresh process and checks its exit
-code, the sha256 of its stdout and its stderr.  The cases take from 7 s
+code, the sha256 of its stdout and its stderr.  The cases take from 1 s
 to over a minute each, so they run only when ``ONSAGER_SCALE`` is set:
-``ONSAGER_SCALE=1`` runs the first three, ``ONSAGER_SCALE=2`` adds the
+``ONSAGER_SCALE=1`` runs the first five, ``ONSAGER_SCALE=2`` adds the
 (7,4) audit.  Otherwise they are reported as skipped.
 """
 
@@ -27,6 +27,11 @@ CASES = [
     (1, ["coords", "dp(xp(1),2)*dp(xm(1),2)", "--mdegree", "6", "--index", "4"], 1,
      hashlib.sha256(b"").hexdigest(),
      "error: coordinates not unique at this truncation (kernel dimension 68335)\n"),
+    # the largest span cutoff: 40,959 even p-vectors and 24,323 odd ones
+    (1, ["audit", "span", "--parity", "even", "--cutoff", "400", "--format", "json"], 0,
+     "123dfd9a87c9f06e5c195669a11f72034f0feb6aee92c62fb503b6adf0723378", ""),
+    (1, ["audit", "span", "--parity", "odd", "--cutoff", "400", "--format", "json"], 0,
+     "5f3969e6fda3142e1a85487c78d6415063e15d89cfd1e4106988070722b83860", ""),
     (2, ["audit", "theorem", "--mdegree", "7", "--index", "4", "--format", "json"], 0,
      "a21fd35d606244ee1b01f56291e6c851a12f0baad7b32721f904c9d98142d6d2", ""),
 ]
